@@ -24,7 +24,7 @@ pub const SMALL_STAGE_SWEEP: &[usize] = &[3, 4, 5, 6, 7, 8];
 /// milliseconds per benchmark) — this is what the CI `bench-smoke` job uses
 /// to keep the perf-artifact run fast.
 pub fn configure(c: criterion::Criterion) -> criterion::Criterion {
-    if quick_mode() {
+    if min_sim::cli::bench_quick() {
         c.sample_size(3)
             .measurement_time(std::time::Duration::from_millis(60))
             .warm_up_time(std::time::Duration::from_millis(20))
@@ -33,9 +33,4 @@ pub fn configure(c: criterion::Criterion) -> criterion::Criterion {
             .measurement_time(std::time::Duration::from_millis(800))
             .warm_up_time(std::time::Duration::from_millis(200))
     }
-}
-
-/// Whether `BENCH_QUICK` requests smoke-test sizing.
-pub fn quick_mode() -> bool {
-    std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0")
 }

@@ -100,7 +100,7 @@ impl ClassicalNetwork {
 /// This is the enumeration the campaign runner (`min-sim::campaign`) and the
 /// sweep benchmarks build their work queues from. Since the `NetworkSpec`
 /// redesign it returns [`crate::spec::NetworkSpec`] cells; each serializes
-/// byte-for-byte like the `(ClassicalNetwork, usize)` tuple it replaced.
+/// as a `[family, stages]` pair.
 pub fn catalog_grid(stages: std::ops::RangeInclusive<usize>) -> Vec<crate::spec::NetworkSpec> {
     grid(&ClassicalNetwork::ALL, stages)
 }
@@ -170,14 +170,11 @@ mod tests {
         let cells = catalog_grid(3..=5);
         assert_eq!(cells.len(), 6 * 3);
         // Family-major: the first three cells are the Baseline at n = 3, 4, 5.
-        // The tuple comparisons exercise the legacy-shim `PartialEq`.
-        assert_eq!(cells[0], (ClassicalNetwork::Baseline, 3));
-        assert_eq!(cells[1], (ClassicalNetwork::Baseline, 4));
-        assert_eq!(cells[2], (ClassicalNetwork::Baseline, 5));
-        assert_eq!(
-            cells[3],
-            crate::spec::NetworkSpec::catalog(ClassicalNetwork::ReverseBaseline, 3)
-        );
+        let catalog = crate::spec::NetworkSpec::catalog;
+        assert_eq!(cells[0], catalog(ClassicalNetwork::Baseline, 3));
+        assert_eq!(cells[1], catalog(ClassicalNetwork::Baseline, 4));
+        assert_eq!(cells[2], catalog(ClassicalNetwork::Baseline, 5));
+        assert_eq!(cells[3], catalog(ClassicalNetwork::ReverseBaseline, 3));
         // Every cell builds a network of the requested size.
         for spec in cells {
             assert_eq!(spec.build().stages(), spec.stages());

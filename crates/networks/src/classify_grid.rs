@@ -10,7 +10,7 @@
 //! and with it the classification report — depends only on the grid, never
 //! on thread scheduling.
 
-use crate::catalog::{catalog_grid, ClassicalNetwork};
+use crate::catalog::catalog_grid;
 use crate::random::{
     random_buddy_network, random_independent_banyan, random_link_permutation_network,
     random_pipid_network,
@@ -121,15 +121,6 @@ impl ClassificationGrid {
     pub fn with_catalog(mut self, catalog: Vec<NetworkSpec>) -> Self {
         self.catalog = catalog;
         self
-    }
-
-    /// Legacy tuple-typed variant of [`Self::with_catalog`].
-    #[deprecated(
-        since = "0.1.0",
-        note = "build `NetworkSpec` cells (`NetworkSpec::catalog`) and call `with_catalog`"
-    )]
-    pub fn with_catalog_tuples(self, catalog: Vec<(ClassicalNetwork, usize)>) -> Self {
-        self.with_catalog(catalog.into_iter().map(Into::into).collect())
     }
 
     /// Builder-style setter for the random axis: `samples` networks per

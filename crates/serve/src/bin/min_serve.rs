@@ -25,6 +25,7 @@ use std::time::Duration;
 
 use min_serve::{client, CampaignConfig, Master, MasterConfig, WorkerConfig};
 use min_sim::campaign::run_campaign;
+use min_sim::cli::Opts;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,73 +58,6 @@ fn run(args: &[String]) -> Result<(), String> {
 }
 
 const USAGE: &str = "usage: min_serve <master|worker|submit|status|results|shutdown|run-local|gen-config> [options]";
-
-/// Parsed `--flag value` / `--flag` options, consumed by each subcommand.
-struct Opts {
-    entries: Vec<(String, Option<String>)>,
-}
-
-impl Opts {
-    fn parse(args: &[String]) -> Result<Opts, String> {
-        let mut entries = Vec::new();
-        let mut it = args.iter().peekable();
-        while let Some(flag) = it.next() {
-            if !flag.starts_with("--") {
-                return Err(format!("unexpected argument `{flag}`"));
-            }
-            let value = match it.peek() {
-                Some(v) if !v.starts_with("--") => Some(it.next().expect("peeked").clone()),
-                _ => None,
-            };
-            entries.push((flag.clone(), value));
-        }
-        Ok(Opts { entries })
-    }
-
-    /// Removes and returns `--flag value`.
-    fn take(&mut self, flag: &str) -> Result<Option<String>, String> {
-        match self.entries.iter().position(|(f, _)| f == flag) {
-            Some(i) => {
-                let (_, value) = self.entries.remove(i);
-                value
-                    .ok_or_else(|| format!("{flag} needs a value"))
-                    .map(Some)
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Removes and returns a valueless `--flag`.
-    fn take_bool(&mut self, flag: &str) -> Result<bool, String> {
-        match self.entries.iter().position(|(f, _)| f == flag) {
-            Some(i) => {
-                let (_, value) = self.entries.remove(i);
-                match value {
-                    None => Ok(true),
-                    Some(v) => Err(format!("{flag} takes no value (got `{v}`)")),
-                }
-            }
-            None => Ok(false),
-        }
-    }
-
-    fn take_parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<Option<T>, String> {
-        match self.take(flag)? {
-            Some(text) => text
-                .parse()
-                .map(Some)
-                .map_err(|_| format!("{flag}: cannot parse `{text}`")),
-            None => Ok(None),
-        }
-    }
-
-    fn finish(&self) -> Result<(), String> {
-        match self.entries.first() {
-            Some((flag, _)) => Err(format!("unknown option `{flag}`")),
-            None => Ok(()),
-        }
-    }
-}
 
 fn io_err(err: io::Error) -> String {
     err.to_string()

@@ -89,8 +89,8 @@ pub struct CampaignConfig {
     /// The network cells of the grid, e.g. from
     /// [`min_networks::catalog_grid`]. Since the [`NetworkSpec`] redesign
     /// these can also name Benes, its shuffle variant, and rewritten
-    /// catalog members; catalog cells serialize byte-for-byte like the
-    /// `(ClassicalNetwork, usize)` tuples they replaced.
+    /// catalog members; catalog cells serialize as `[family, stages]`
+    /// pairs.
     pub cells: Vec<NetworkSpec>,
     /// Traffic patterns swept per cell.
     pub traffic: Vec<TrafficPattern>,
@@ -147,15 +147,6 @@ impl CampaignConfig {
     pub fn with_cells(mut self, cells: Vec<NetworkSpec>) -> Self {
         self.cells = cells;
         self
-    }
-
-    /// Legacy tuple setter kept from the pre-[`NetworkSpec`] API.
-    #[deprecated(
-        since = "0.1.0",
-        note = "build `NetworkSpec` cells (`NetworkSpec::catalog`, `catalog_grid`) and call `with_cells`"
-    )]
-    pub fn with_cell_tuples(self, cells: Vec<(ClassicalNetwork, usize)>) -> Self {
-        self.with_cells(cells.into_iter().map(Into::into).collect())
     }
 
     /// Builder-style setter for the traffic axis.
@@ -1607,17 +1598,16 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
     fn legacy_tuple_grids_keep_their_pre_spec_json_layout() {
-        // Old-style `(ClassicalNetwork, usize)` grids flow through the
-        // (now deprecated) tuple shims, and both the config and the report
-        // must render byte-for-byte as they did before the `NetworkSpec`
-        // redesign: tuple cells as two-element arrays, scenario networks as
-        // the bare family name next to a `stages` field.
+        // Catalog grids must render byte-for-byte as the old
+        // `(ClassicalNetwork, usize)` tuple grids did before the
+        // `NetworkSpec` redesign, in both the config and the report:
+        // catalog cells as two-element arrays, scenario networks as the
+        // bare family name next to a `stages` field.
         let cfg = CampaignConfig::over_catalog(3..=3)
-            .with_cell_tuples(vec![
-                (ClassicalNetwork::Omega, 3),
-                (ClassicalNetwork::ReverseBaseline, 4),
+            .with_cells(vec![
+                NetworkSpec::catalog(ClassicalNetwork::Omega, 3),
+                NetworkSpec::catalog(ClassicalNetwork::ReverseBaseline, 4),
             ])
             .with_cycles(40, 0);
         let cfg_json = serde_json::to_string(&cfg).unwrap();

@@ -48,14 +48,20 @@
 //!   replications per `u64` (occupancy, conflict and drop sets as bitwise
 //!   operations over replication words), routed in automatically by
 //!   [`batch::run_replications`] for eligible workloads and pinned
-//!   bit-identical to the scalar engine by the packed-oracle tests.
+//!   bit-identical to the scalar engine by the packed-oracle tests;
+//! * sweep plumbing ([`curves`] and [`cli`]) — the replication fold and
+//!   saturation-knee detection behind the committed load curves, and the
+//!   argument parser, `BENCH_QUICK` switch and run helpers the sweep
+//!   examples and the `min_serve` binary share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod batch;
 pub mod campaign;
+pub mod cli;
 pub mod config;
+pub mod curves;
 pub mod engine;
 pub mod fabric;
 pub mod fault;

@@ -14,33 +14,24 @@
 //! ```
 
 use baseline_equivalence::prelude::{run_campaign, BufferMode, CampaignConfig};
+use baseline_equivalence::sim::cli;
 use min_sim::TrafficPattern;
 
-fn main() {
-    let mut threads = 0usize; // 0 = one worker per core
-    let mut seed = 0x1988u64;
-    let mut min_stages = 3usize;
-    let mut max_stages = 5usize;
-    let mut cycles = 600u64;
-    let mut out_path = String::from("campaign.json");
+const USAGE: &str = "usage: campaign_sweep [--threads T] [--seed S] [--min-stages A] \
+                     [--max-stages B] [--cycles C] [--out PATH]";
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).cloned();
-        let parse =
-            |what: &str, v: Option<String>| v.unwrap_or_else(|| panic!("missing value for {what}"));
-        match args[i].as_str() {
-            "--threads" => threads = parse("--threads", value).parse().expect("thread count"),
-            "--seed" => seed = parse("--seed", value).parse().expect("seed"),
-            "--min-stages" => min_stages = parse("--min-stages", value).parse().expect("stages"),
-            "--max-stages" => max_stages = parse("--max-stages", value).parse().expect("stages"),
-            "--cycles" => cycles = parse("--cycles", value).parse().expect("cycles"),
-            "--out" => out_path = parse("--out", value),
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 2;
-    }
+fn main() {
+    let (threads, seed, min_stages, max_stages, cycles, out_path) =
+        cli::parse_args_or_exit(USAGE, |o| {
+            Ok((
+                o.take_or("--threads", 0usize)?, // 0 = one worker per core
+                o.take_or("--seed", 0x1988u64)?,
+                o.take_or("--min-stages", 3usize)?,
+                o.take_or("--max-stages", 5usize)?,
+                o.take_or("--cycles", 600u64)?,
+                o.take_or("--out", String::from("campaign.json"))?,
+            ))
+        });
 
     let config = CampaignConfig::over_catalog(min_stages..=max_stages)
         .with_seed(seed)
@@ -73,27 +64,10 @@ fn main() {
         config.scenario_count(),
     );
 
-    let started = std::time::Instant::now();
-    let report = match run_campaign(&config, threads) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("campaign failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let elapsed = started.elapsed();
+    let (report, elapsed) = cli::run_timed("campaign", || run_campaign(&config, threads));
 
     print!("{}", report.summary_table());
-    println!(
-        "\ncompleted in {:.2?} with {} worker thread(s) requested",
-        elapsed,
-        if threads == 0 {
-            "auto".to_string()
-        } else {
-            threads.to_string()
-        }
-    );
+    println!("\n{}", cli::completed_line(elapsed, threads));
 
-    std::fs::write(&out_path, report.to_json()).expect("write campaign report");
-    println!("report written to {out_path}");
+    cli::write_artifact(&out_path, &report.to_json(), "report");
 }

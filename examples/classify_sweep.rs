@@ -28,104 +28,87 @@
 use baseline_equivalence::prelude::{
     classify_subjects, ClassicalNetwork, ClassificationGrid, NetworkSpec, RandomFamily, Rewrite,
 };
+use baseline_equivalence::sim::cli;
+
+const USAGE: &str = "usage: classify_sweep [--threads T] [--seed S] [--min-stages A] \
+                     [--max-stages B] [--random-samples K] [--random-min-stages A] \
+                     [--random-max-stages B] [--benes-max-n N] [--rewrite-stages n] [--out PATH]";
+
+/// The sweep's options, with their defaults.
+struct Args {
+    threads: usize,
+    seed: u64,
+    min_stages: usize,
+    max_stages: usize,
+    random_samples: u32,
+    random_min_stages: usize,
+    random_max_stages: usize,
+    benes_max_n: usize,
+    rewrite_stages: usize,
+    out_path: String,
+}
 
 fn main() {
-    let mut threads = 0usize; // 0 = one worker per core
-    let mut seed = 0x1988u64;
-    let mut min_stages = 2usize;
-    let mut max_stages = 16usize;
-    let mut random_samples = 2u32;
-    let mut random_min_stages = 3usize;
-    let mut random_max_stages = 6usize;
-    let mut benes_max_n = 4usize; // 0 disables the rearrangeable axis
-    let mut rewrite_stages = 4usize; // 0 disables the rewrite axis
-    let mut out_path = String::from("classification.json");
+    let args = cli::parse_args_or_exit(USAGE, |o| {
+        Ok(Args {
+            threads: o.take_or("--threads", 0)?, // 0 = one worker per core
+            seed: o.take_or("--seed", 0x1988)?,
+            min_stages: o.take_or("--min-stages", 2)?,
+            max_stages: o.take_or("--max-stages", 16)?,
+            random_samples: o.take_or("--random-samples", 2)?,
+            random_min_stages: o.take_or("--random-min-stages", 3)?,
+            random_max_stages: o.take_or("--random-max-stages", 6)?,
+            benes_max_n: o.take_or("--benes-max-n", 4)?, // 0 disables the rearrangeable axis
+            rewrite_stages: o.take_or("--rewrite-stages", 4)?, // 0 disables the rewrite axis
+            out_path: o.take_or("--out", String::from("classification.json"))?,
+        })
+    });
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).cloned();
-        let parse =
-            |what: &str, v: Option<String>| v.unwrap_or_else(|| panic!("missing value for {what}"));
-        match args[i].as_str() {
-            "--threads" => threads = parse("--threads", value).parse().expect("thread count"),
-            "--seed" => seed = parse("--seed", value).parse().expect("seed"),
-            "--min-stages" => min_stages = parse("--min-stages", value).parse().expect("stages"),
-            "--max-stages" => max_stages = parse("--max-stages", value).parse().expect("stages"),
-            "--random-samples" => {
-                random_samples = parse("--random-samples", value).parse().expect("samples")
-            }
-            "--random-min-stages" => {
-                random_min_stages = parse("--random-min-stages", value).parse().expect("stages")
-            }
-            "--random-max-stages" => {
-                random_max_stages = parse("--random-max-stages", value).parse().expect("stages")
-            }
-            "--benes-max-n" => benes_max_n = parse("--benes-max-n", value).parse().expect("n"),
-            "--rewrite-stages" => {
-                rewrite_stages = parse("--rewrite-stages", value).parse().expect("stages")
-            }
-            "--out" => out_path = parse("--out", value),
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 2;
-    }
-
-    let mut grid = ClassificationGrid::over_catalog(min_stages..=max_stages).with_seed(seed);
+    let mut grid =
+        ClassificationGrid::over_catalog(args.min_stages..=args.max_stages).with_seed(args.seed);
     // The rearrangeable axis: Benes and its shuffle-based variant at
     // n = 2..=benes_max_n, plus the fundamental-arrangement rewrites of
     // every catalog family at one stage count. These ride the same subject
     // list as the catalog, so the report shows exactly which equivalence
     // classes they land in.
     let catalog_cells = grid.catalog.len();
-    for n in 2..=benes_max_n.min(16) {
+    for n in 2..=args.benes_max_n.min(16) {
         grid.catalog.push(NetworkSpec::benes(n));
         grid.catalog.push(NetworkSpec::benes_variant(n));
     }
-    if (2..=16).contains(&rewrite_stages) {
+    if (2..=16).contains(&args.rewrite_stages) {
         for family in ClassicalNetwork::ALL {
             for rewrite in Rewrite::ALL {
                 grid.catalog
-                    .push(NetworkSpec::rewritten(family, rewrite_stages, rewrite));
+                    .push(NetworkSpec::rewritten(family, args.rewrite_stages, rewrite));
             }
         }
     }
     let rearrangeable_cells = grid.catalog.len() - catalog_cells;
-    if random_samples > 0 {
+    if args.random_samples > 0 {
         grid = grid.with_random(
             RandomFamily::ALL.to_vec(),
-            random_min_stages..=random_max_stages,
-            random_samples,
+            args.random_min_stages..=args.random_max_stages,
+            args.random_samples,
         );
     }
 
     println!(
-        "== Classification: {catalog_cells} catalog cells (n={min_stages}..={max_stages}) + {rearrangeable_cells} rearrangeable/rewritten cells + {} random subjects = {} subjects (seed {seed:#x}) ==\n",
+        "== Classification: {catalog_cells} catalog cells (n={}..={}) + {rearrangeable_cells} rearrangeable/rewritten cells + {} random subjects = {} subjects (seed {:#x}) ==\n",
+        args.min_stages,
+        args.max_stages,
         grid.subject_count() - grid.catalog.len(),
         grid.subject_count(),
+        args.seed,
     );
 
     let subjects = grid.subjects();
-    let started = std::time::Instant::now();
-    let report = match classify_subjects(&subjects, threads) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("classification failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let elapsed = started.elapsed();
+    let (report, elapsed) = cli::run_timed("classification", || {
+        classify_subjects(&subjects, args.threads)
+    });
 
     print!("{}", report.summary_table());
-    println!(
-        "\ncompleted in {:.2?} with {} worker thread(s) requested",
-        elapsed,
-        if threads == 0 {
-            "auto".to_string()
-        } else {
-            threads.to_string()
-        }
-    );
+    println!("\n{}", cli::completed_line(elapsed, args.threads));
 
     if report
         .classes
@@ -142,7 +125,7 @@ fn main() {
     // networks, whose rows in the same report must be equivalent. Both
     // verdicts are theorems, so a flip either way is a machinery bug.
     let mut failed = false;
-    if benes_max_n >= 2 {
+    if args.benes_max_n >= 2 {
         println!("\n== Rearrangeable verdicts ==");
         for r in &report.subjects {
             let rearrangeable = r.family == "Benes" || r.family == "Benes-variant";
@@ -169,8 +152,8 @@ fn main() {
         // Baseline, present as catalog rows of the same report.
         for r in &report.subjects {
             if (r.family == "Baseline" || r.family == "Reverse Baseline")
-                && r.stages >= min_stages.max(2)
-                && r.stages <= benes_max_n
+                && r.stages >= args.min_stages.max(2)
+                && r.stages <= args.benes_max_n
                 && !r.equivalent
             {
                 eprintln!("Benes half {} not Baseline-equivalent", r.name());
@@ -183,6 +166,5 @@ fn main() {
         std::process::exit(1);
     }
 
-    std::fs::write(&out_path, report.to_json()).expect("write classification report");
-    println!("report written to {out_path}");
+    cli::write_artifact(&args.out_path, &report.to_json(), "report");
 }

@@ -22,60 +22,24 @@
 //! ```
 
 use baseline_equivalence::prelude::{run_campaign, CampaignConfig, CampaignReport};
+use baseline_equivalence::sim::{cli, curves};
 use std::fmt::Write as _;
 
-/// One grid point of the saturation curve, folded over its replications.
-#[derive(Default)]
-struct CurvePoint {
-    network: String,
-    stages: usize,
-    load: f64,
-    throughput_sum: f64,
-    mean_latency_sum: f64,
-    p99_latency: u64,
-    acceptance_sum: f64,
-    delivered: u64,
-    dropped: u64,
-}
+const USAGE: &str =
+    "usage: saturation_curve [--threads T] [--seed S] [--max-stages B] [--cycles C] [--out PATH]";
 
 /// Renders the replication-averaged saturation curve as deterministic JSON:
-/// one point per (family, stage count, offered load) grid cell, in the
-/// canonical grid-expansion order. Fixed-precision float formatting keeps
-/// the bytes reproducible across platforms and thread counts.
-fn curve_json(report: &CampaignReport, cycles: u64, replications: u32) -> String {
-    let mut points: Vec<CurvePoint> = Vec::new();
-    for r in &report.scenarios {
-        let s = &r.scenario;
-        // Replications of one grid point are adjacent in the canonical
-        // expansion (the replication axis is innermost), so grouping is a
-        // running fold over the result list.
-        let matches = points.last().is_some_and(|p| {
-            (p.network.as_str(), p.stages, p.load)
-                == (s.network.name().as_str(), s.stages, s.offered_load)
-        });
-        if !matches {
-            points.push(CurvePoint {
-                network: s.network.name(),
-                stages: s.stages,
-                load: s.offered_load,
-                ..CurvePoint::default()
-            });
-        }
-        let p = points.last_mut().expect("just pushed");
-        p.throughput_sum += r.throughput;
-        p.mean_latency_sum += r.mean_latency;
-        p.p99_latency = p.p99_latency.max(r.p99_latency);
-        p.acceptance_sum += r.acceptance;
-        p.delivered += r.delivered;
-        p.dropped += r.dropped;
-    }
-    let reps = f64::from(replications);
+/// one point per grid point, in the canonical grid-expansion order.
+/// Fixed-precision float formatting keeps the bytes reproducible across
+/// platforms and thread counts.
+fn curve_json(report: &CampaignReport, replications: u32) -> String {
     let mut out = String::from("{");
     let _ = write!(
         out,
-        "\"cycles\":{cycles},\"replications\":{replications},\"points\":["
+        "\"cycles\":{},\"replications\":{replications},\"points\":[",
+        report.cycles
     );
-    for (i, p) in points.iter().enumerate() {
+    for (i, p) in curves::fold_points(report).iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -84,13 +48,13 @@ fn curve_json(report: &CampaignReport, cycles: u64, replications: u32) -> String
             "{{\"network\":\"{}\",\"stages\":{},\"load\":{:.2},\
              \"throughput\":{:.6},\"mean_latency\":{:.4},\"p99_latency\":{},\
              \"acceptance\":{:.6},\"delivered\":{},\"dropped\":{}}}",
-            p.network,
-            p.stages,
-            p.load,
-            p.throughput_sum / reps,
-            p.mean_latency_sum / reps,
+            p.scenario.network.name(),
+            p.scenario.stages,
+            p.scenario.offered_load,
+            p.throughput(),
+            p.mean_latency(),
             p.p99_latency,
-            p.acceptance_sum / reps,
+            p.acceptance(),
             p.delivered,
             p.dropped,
         );
@@ -100,29 +64,16 @@ fn curve_json(report: &CampaignReport, cycles: u64, replications: u32) -> String
 }
 
 fn main() {
-    let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-    let mut threads = 0usize; // 0 = one worker per core
-    let mut seed = 0x1988u64;
-    let mut max_stages = if quick { 4 } else { 6 };
-    let mut cycles = if quick { 200 } else { 600 };
-    let mut out_path = String::from("saturation.json");
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).cloned();
-        let parse =
-            |what: &str, v: Option<String>| v.unwrap_or_else(|| panic!("missing value for {what}"));
-        match args[i].as_str() {
-            "--threads" => threads = parse("--threads", value).parse().expect("thread count"),
-            "--seed" => seed = parse("--seed", value).parse().expect("seed"),
-            "--max-stages" => max_stages = parse("--max-stages", value).parse().expect("stages"),
-            "--cycles" => cycles = parse("--cycles", value).parse().expect("cycles"),
-            "--out" => out_path = parse("--out", value),
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 2;
-    }
+    let quick = cli::bench_quick();
+    let (threads, seed, max_stages, cycles, out_path) = cli::parse_args_or_exit(USAGE, |o| {
+        Ok((
+            o.take_or("--threads", 0usize)?, // 0 = one worker per core
+            o.take_or("--seed", 0x1988u64)?,
+            o.take_or("--max-stages", if quick { 4 } else { 6 })?,
+            o.take_or("--cycles", if quick { 200 } else { 600 })?,
+            o.take_or("--out", String::from("saturation.json"))?,
+        ))
+    });
 
     // The load ladder: the saturation knee of an unbuffered banyan sits
     // well below 1.0, so the ladder is densest where the curve bends.
@@ -150,15 +101,7 @@ fn main() {
         config.scenario_count(),
     );
 
-    let started = std::time::Instant::now();
-    let report = match run_campaign(&config, threads) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("saturation sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let elapsed = started.elapsed();
+    let (report, elapsed) = cli::run_timed("saturation sweep", || run_campaign(&config, threads));
 
     print!("{}", report.summary_table());
     let a = &report.aggregate;
@@ -166,17 +109,7 @@ fn main() {
         "\nsaturation: mean throughput {:.4} · worst mean latency {:.2} cy · worst p99 {} cy",
         a.mean_throughput, a.worst_mean_latency, a.worst_p99_latency
     );
-    println!(
-        "completed in {:.2?} with {} worker thread(s) requested",
-        elapsed,
-        if threads == 0 {
-            "auto".to_string()
-        } else {
-            threads.to_string()
-        }
-    );
+    println!("{}", cli::completed_line(elapsed, threads));
 
-    std::fs::write(&out_path, curve_json(&report, cycles, replications))
-        .expect("write saturation curve");
-    println!("curve written to {out_path}");
+    cli::write_artifact(&out_path, &curve_json(&report, replications), "curve");
 }

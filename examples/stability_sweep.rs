@@ -38,122 +38,18 @@
 //! ```
 
 use baseline_equivalence::prelude::{
-    run_campaign, BufferMode, CampaignConfig, CampaignReport, ClassicalNetwork, NetworkSpec,
-    TrafficPattern,
+    run_campaign, BufferMode, CampaignConfig, ClassicalNetwork, NetworkSpec, TrafficPattern,
 };
+use baseline_equivalence::sim::cli;
+use baseline_equivalence::sim::curves::{self, load_json, Ladder, DIVERGENCE_THRESHOLD};
 use std::fmt::Write as _;
 
-/// Relative throughput shortfall that marks the saturation point: the
-/// first ladder load where `throughput < (1 - THRESHOLD) × offered`.
-const DIVERGENCE_THRESHOLD: f64 = 0.05;
-
-/// One load point of a stability curve, folded over its replications.
-struct Point {
-    load: f64,
-    offered_packets: u64,
-    throughput_sum: f64,
-    acceptance_sum: f64,
-    mean_latency_sum: f64,
-    occupancy_sum: f64,
-    replications: u32,
-    terminals: usize,
-}
-
-impl Point {
-    /// Replication-averaged offered rate (packets per terminal per cycle).
-    /// Open-loop: refused packets are in the numerator too.
-    fn offered_rate(&self, cycles: u64) -> f64 {
-        let slots = cycles as f64 * self.terminals as f64 * f64::from(self.replications);
-        if slots == 0.0 {
-            0.0
-        } else {
-            self.offered_packets as f64 / slots
-        }
-    }
-}
-
-/// One (network × traffic × buffer mode) stability curve: its load ladder
-/// in ascending order.
-struct Curve {
-    network: String,
-    stages: usize,
-    traffic: &'static str,
-    buffers: String,
-    points: Vec<Point>,
-}
-
-impl Curve {
-    /// The first ladder load whose delivered throughput falls more than
-    /// [`DIVERGENCE_THRESHOLD`] below the offered rate — the stability
-    /// knee. `None` when the curve never diverges on this ladder.
-    fn saturation_load(&self, cycles: u64) -> Option<f64> {
-        self.points.iter().find_map(|p| {
-            let offered = p.offered_rate(cycles);
-            let throughput = p.throughput_sum / f64::from(p.replications);
-            (offered > 0.0 && throughput < (1.0 - DIVERGENCE_THRESHOLD) * offered).then_some(p.load)
-        })
-    }
-}
-
-/// Groups the scenario results into per-(network, traffic, buffer-mode)
-/// curves. The load axis sits *outside* the buffer-mode axis in the
-/// canonical grid expansion, so one curve's points are not adjacent in the
-/// result list: grouping goes through an insertion-ordered keyed lookup
-/// (replications, the innermost axis, still fold into the last point).
-fn fold_curves(report: &CampaignReport) -> Vec<Curve> {
-    let mut curves: Vec<Curve> = Vec::new();
-    for r in &report.scenarios {
-        let s = &r.scenario;
-        let key = (
-            s.network.name(),
-            s.stages,
-            s.traffic.label(),
-            s.buffer_mode.label(),
-        );
-        let curve = match curves.iter_mut().find(|c| {
-            (c.network.as_str(), c.stages, c.traffic, c.buffers.as_str())
-                == (key.0.as_str(), key.1, key.2, key.3.as_str())
-        }) {
-            Some(curve) => curve,
-            None => {
-                curves.push(Curve {
-                    network: key.0,
-                    stages: key.1,
-                    traffic: key.2,
-                    buffers: key.3,
-                    points: Vec::new(),
-                });
-                curves.last_mut().expect("just pushed")
-            }
-        };
-        let same_load = curve.points.last().map(|p| p.load) == Some(s.offered_load);
-        if !same_load {
-            curve.points.push(Point {
-                load: s.offered_load,
-                offered_packets: 0,
-                throughput_sum: 0.0,
-                acceptance_sum: 0.0,
-                mean_latency_sum: 0.0,
-                occupancy_sum: 0.0,
-                replications: 0,
-                terminals: s.network.terminals(),
-            });
-        }
-        let p = curve.points.last_mut().expect("just pushed");
-        p.offered_packets += r.offered;
-        p.throughput_sum += r.throughput;
-        p.acceptance_sum += r.acceptance;
-        p.mean_latency_sum += r.mean_latency;
-        p.occupancy_sum += r.mean_occupancy;
-        p.replications += 1;
-    }
-    curves
-}
+const USAGE: &str = "usage: stability_sweep [--threads T] [--seed S] [--cycles C] [--out PATH]";
 
 /// Renders the curves as deterministic JSON: fixed-precision floats in the
 /// canonical curve order keep the bytes identical across platforms and
 /// thread counts.
-fn stability_json(curves: &[Curve], cycles: u64, warmup: u64, replications: u32) -> String {
+fn stability_json(curves: &[Ladder], cycles: u64, warmup: u64, replications: u32) -> String {
     let mut out = String::from("{");
     let _ = write!(
         out,
@@ -164,64 +60,51 @@ fn stability_json(curves: &[Curve], cycles: u64, warmup: u64, replications: u32)
         if i > 0 {
             out.push(',');
         }
+        let s = c.scenario();
         let _ = write!(
             out,
             "{{\"network\":\"{}\",\"stages\":{},\"traffic\":\"{}\",\"buffers\":\"{}\",\"points\":[",
-            c.network, c.stages, c.traffic, c.buffers
+            s.network.name(),
+            s.stages,
+            s.traffic.label(),
+            s.buffer_mode.label()
         );
         for (j, p) in c.points.iter().enumerate() {
             if j > 0 {
                 out.push(',');
             }
-            let reps = f64::from(p.replications);
             let _ = write!(
                 out,
                 "{{\"load\":{:.2},\"offered\":{:.6},\"throughput\":{:.6},\
                  \"acceptance\":{:.6},\"mean_latency\":{:.4},\"occupancy\":{:.6}}}",
-                p.load,
-                p.offered_rate(cycles),
-                p.throughput_sum / reps,
-                p.acceptance_sum / reps,
-                p.mean_latency_sum / reps,
-                p.occupancy_sum / reps,
+                p.scenario.offered_load,
+                p.offered_rate(),
+                p.throughput(),
+                p.acceptance(),
+                p.mean_latency(),
+                p.occupancy(),
             );
         }
-        out.push_str("],\"saturation_load\":");
-        match c.saturation_load(cycles) {
-            Some(load) => {
-                let _ = write!(out, "{load:.2}");
-            }
-            None => out.push_str("null"),
-        }
-        out.push('}');
+        let _ = write!(
+            out,
+            "],\"saturation_load\":{}}}",
+            load_json(c.saturation_load())
+        );
     }
     out.push_str("]}");
     out
 }
 
 fn main() {
-    let quick = std::env::var("BENCH_QUICK").is_ok_and(|v| !v.is_empty() && v != "0");
-    let mut threads = 0usize; // 0 = one worker per core
-    let mut seed = 0x5AB1E_u64;
-    let mut cycles = if quick { 200 } else { 600 };
-    let mut out_path = String::from("stability.json");
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let value = args.get(i + 1).cloned();
-        let parse =
-            |what: &str, v: Option<String>| v.unwrap_or_else(|| panic!("missing value for {what}"));
-        match args[i].as_str() {
-            "--threads" => threads = parse("--threads", value).parse().expect("thread count"),
-            "--seed" => seed = parse("--seed", value).parse().expect("seed"),
-            "--cycles" => cycles = parse("--cycles", value).parse().expect("cycles"),
-            "--out" => out_path = parse("--out", value),
-            other => panic!("unknown argument `{other}`"),
-        }
-        i += 2;
-    }
-
+    let quick = cli::bench_quick();
+    let (threads, seed, cycles, out_path) = cli::parse_args_or_exit(USAGE, |o| {
+        Ok((
+            o.take_or("--threads", 0usize)?, // 0 = one worker per core
+            o.take_or("--seed", 0x5AB1E_u64)?,
+            o.take_or("--cycles", if quick { 200 } else { 600 })?,
+            o.take_or("--out", String::from("stability.json"))?,
+        ))
+    });
     let stages = if quick { 4 } else { 5 };
     let cells = vec![
         NetworkSpec::catalog(ClassicalNetwork::Omega, stages),
@@ -240,25 +123,13 @@ fn main() {
             on_rate: 1.0,
         },
     ];
-    let buffer_modes = vec![
-        BufferMode::Unbuffered,
-        BufferMode::Fifo(4),
-        BufferMode::Wormhole {
-            lanes: 1,
-            lane_depth: 4,
-            flits_per_packet: 4,
-        },
-        BufferMode::Wormhole {
-            lanes: 2,
-            lane_depth: 4,
-            flits_per_packet: 4,
-        },
-        BufferMode::Wormhole {
-            lanes: 4,
-            lane_depth: 4,
-            flits_per_packet: 4,
-        },
-    ];
+    // Unbuffered, FIFO, and a wormhole ladder of 1, 2 and 4 lanes.
+    let mut buffer_modes = vec![BufferMode::Unbuffered, BufferMode::Fifo(4)];
+    buffer_modes.extend([1, 2, 4].map(|lanes| BufferMode::Wormhole {
+        lanes,
+        lane_depth: 4,
+        flits_per_packet: 4,
+    }));
     let loads: Vec<f64> = if quick {
         vec![0.3, 0.6, 0.9]
     } else {
@@ -286,39 +157,34 @@ fn main() {
         config.scenario_count(),
     );
 
-    let started = std::time::Instant::now();
-    let report = match run_campaign(&config, threads) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("stability sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let elapsed = started.elapsed();
-
-    let curves = fold_curves(&report);
+    let (report, elapsed) = cli::run_timed("stability sweep", || run_campaign(&config, threads));
+    let curves = curves::ladders(curves::fold_points(&report));
     println!(
         "{:<10} {:>2}  {:<8} {:<14} {:>10}",
         "network", "n", "traffic", "buffers", "saturation"
     );
     for c in &curves {
-        let knee = match c.saturation_load(cycles) {
+        let s = c.scenario();
+        let knee = match c.saturation_load() {
             Some(load) => format!("{load:.2}"),
             None => "—".to_string(),
         };
         println!(
             "{:<10} {:>2}  {:<8} {:<14} {:>10}",
-            c.network, c.stages, c.traffic, c.buffers, knee
+            s.network.name(),
+            s.stages,
+            s.traffic.label(),
+            s.buffer_mode.label(),
+            knee
         );
     }
     println!("\ncompleted in {elapsed:.2?}");
 
-    std::fs::write(
+    cli::write_artifact(
         &out_path,
-        stability_json(&curves, cycles, warmup, replications),
-    )
-    .expect("write stability curves");
-    println!("curves written to {out_path}");
+        &stability_json(&curves, cycles, warmup, replications),
+        "curves",
+    );
 
     // Self-gate: every buffer mode must show the stability-literature shape
     // — a measurable saturation knee for at least one Zipf curve and at
@@ -328,9 +194,10 @@ fn main() {
     for mode in &config.buffer_modes {
         for wanted in ["zipf", "on-off"] {
             let saturates = curves.iter().any(|c| {
-                c.buffers == mode.label()
-                    && c.traffic == wanted
-                    && c.saturation_load(cycles).is_some()
+                let s = c.scenario();
+                s.buffer_mode == *mode
+                    && s.traffic.label() == wanted
+                    && c.saturation_load().is_some()
             });
             if !saturates {
                 failures.push(format!("{} under {wanted}", mode.label()));
