@@ -6,7 +6,7 @@
 //! results, and `assemble()` slots results back into the report. This crate
 //! is the second executor of that plan (the first being the in-process
 //! scoped-thread runner): a [`master::Master`] that owns the job state and
-//! a results store, [`worker::run_worker`] loops that lease shards over a
+//! each finished shard's results, [`worker::run_worker`] loops that lease shards over a
 //! length-prefixed JSON TCP protocol ([`protocol`]), and one-shot
 //! [`client`] verbs (`submit` / `status` / `results`) plus the `min_serve`
 //! CLI binary wrapping all three roles.
@@ -18,9 +18,11 @@
 //! any worker, any retry, any machine produces byte-identical results for
 //! the same shard. Consequences the design leans on:
 //!
-//! * **slot-addressed results store** — the master folds pushed results
-//!   into a `CampaignReport` by canonical scenario index
-//!   (`CampaignReport::merge`); arrival order is irrelevant;
+//! * **one assembly path** — the master keeps each pushed shard's results,
+//!   checked against that shard's scenarios, and builds the report with the
+//!   same `assemble` the in-process runner calls; arrival order is
+//!   irrelevant, because `assemble` slots results by canonical scenario
+//!   index;
 //! * **idempotent failover** — when a worker misses its heartbeat deadline
 //!   its running shards are simply requeued; if the "dead" worker pushes
 //!   after all, the duplicate is discarded, because a re-executed shard

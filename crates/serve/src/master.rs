@@ -13,15 +13,16 @@
 //! Connections are served sequentially (one request/reply per connection,
 //! see [`crate::protocol`]) off a non-blocking accept loop, with the
 //! failover monitor running between accepts. Campaign execution happens in
-//! the workers, so the master's work per exchange is a lease table update
-//! or a report merge — never a simulation.
+//! the workers, so the master's work per exchange is a lease table update,
+//! a check that pushed results are the leased shard's, or one `assemble`
+//! call when the report is served — never a simulation.
 
 use std::collections::HashMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
-use min_sim::campaign::{CampaignConfig, CampaignReport, Shard};
+use min_sim::campaign::{assemble, CampaignConfig, ScenarioResult, Shard};
 
 use crate::protocol::{read_frame, write_frame, Reply, Request, StatusReport};
 
@@ -68,19 +69,16 @@ enum Slot {
     /// Not yet leased (or requeued after its worker died).
     Pending,
     /// Leased to the named worker.
-    Running {
-        worker: String,
-    },
-    Done,
+    Running { worker: String },
+    /// Executed; holds the shard's results, checked against its scenarios.
+    Done(Vec<ScenarioResult>),
 }
 
-/// The active job: a planned campaign plus its slot table and the
-/// accumulating results store.
+/// The active job: a planned campaign plus its slot table.
 struct Job {
     config: CampaignConfig,
     shards: Vec<Shard>,
     slots: Vec<Slot>,
-    store: CampaignReport,
     done: usize,
     requeues: u64,
 }
@@ -199,18 +197,7 @@ impl Master {
             Request::Status => Reply::Status {
                 status: self.status(),
             },
-            Request::Results => match &self.job {
-                Some(job) if job.complete() => {
-                    self.served_results = true;
-                    Reply::Results {
-                        report_json: self.job.as_ref().expect("checked").store.to_json(),
-                    }
-                }
-                Some(_) => Reply::NotReady,
-                None => Reply::Error {
-                    message: "no job submitted".to_string(),
-                },
-            },
+            Request::Results => self.results(),
             Request::Shutdown => {
                 self.shutdown = true;
                 Reply::Ack
@@ -245,7 +232,38 @@ impl Master {
         }
     }
 
-    fn push(&mut self, shard: usize, results: Vec<min_sim::campaign::ScenarioResult>) -> Reply {
+    fn results(&mut self) -> Reply {
+        let Some(job) = &self.job else {
+            return Reply::Error {
+                message: "no job submitted".to_string(),
+            };
+        };
+        if !job.complete() {
+            return Reply::NotReady;
+        }
+        let results = job
+            .slots
+            .iter()
+            .flat_map(|slot| match slot {
+                Slot::Done(results) => results.as_slice(),
+                _ => &[],
+            })
+            .cloned()
+            .collect();
+        match assemble(&job.config, results) {
+            Ok(report) => {
+                self.served_results = true;
+                Reply::Results {
+                    report_json: report.to_json(),
+                }
+            }
+            Err(e) => Reply::Error {
+                message: format!("shard results do not assemble: {e}"),
+            },
+        }
+    }
+
+    fn push(&mut self, shard: usize, results: Vec<ScenarioResult>) -> Reply {
         let Some(job) = self.job.as_mut() else {
             return Reply::Error {
                 message: "no job submitted".to_string(),
@@ -256,27 +274,25 @@ impl Master {
                 message: format!("shard {shard} out of range ({} shards)", job.slots.len()),
             };
         }
-        if matches!(job.slots[shard], Slot::Done) {
+        let scenarios = &job.shards[shard].scenarios;
+        if results.len() != scenarios.len()
+            || results.iter().zip(scenarios).any(|(r, s)| r.scenario != *s)
+        {
+            return Reply::Error {
+                message: format!(
+                    "rejected results for shard {shard}: not its {} scenarios in order",
+                    scenarios.len()
+                ),
+            };
+        }
+        if matches!(job.slots[shard], Slot::Done(_)) {
             // A worker declared dead can still come back with the results
             // of a shard that was requeued and re-executed elsewhere.
             // Execution is deterministic, so the bytes are the same either
             // way: first push wins, duplicates are discarded.
             return Reply::Ack;
         }
-        let partial = match CampaignReport::partial(&job.config, results) {
-            Ok(partial) => partial,
-            Err(e) => {
-                return Reply::Error {
-                    message: format!("rejected results for shard {shard}: {e}"),
-                }
-            }
-        };
-        if let Err(e) = job.store.merge(&partial) {
-            return Reply::Error {
-                message: format!("rejected results for shard {shard}: {e}"),
-            };
-        }
-        job.slots[shard] = Slot::Done;
+        job.slots[shard] = Slot::Done(results);
         job.done += 1;
         Reply::Ack
     }
@@ -297,13 +313,11 @@ impl Master {
         };
         let shards = plan.shards;
         let scenarios = shards.iter().map(Shard::len).sum();
-        let store = CampaignReport::empty(&config);
         self.served_results = false;
         self.job = Some(Job {
             config,
             slots: vec![Slot::Pending; shards.len()],
             shards,
-            store,
             done: 0,
             requeues: 0,
         });
@@ -330,7 +344,7 @@ impl Master {
                 match slot {
                     Slot::Pending => status.pending += 1,
                     Slot::Running { .. } => status.running += 1,
-                    Slot::Done => status.done += 1,
+                    Slot::Done(_) => status.done += 1,
                 }
             }
             status.complete = job.complete();

@@ -46,7 +46,9 @@ pub fn write_frame<T: Serialize>(stream: &mut impl Write, msg: &T) -> io::Result
     stream.flush()
 }
 
-/// Reads one length-prefixed JSON frame.
+/// Reads one length-prefixed JSON frame. The payload buffer grows with the
+/// bytes that actually arrive, so a length prefix alone allocates nothing,
+/// and the parser rejects nesting deeper than [`serde_json::MAX_DEPTH`].
 pub fn read_frame<T: Deserialize>(stream: &mut impl Read) -> io::Result<T> {
     let mut prefix = [0u8; 4];
     stream.read_exact(&mut prefix)?;
@@ -56,8 +58,14 @@ pub fn read_frame<T: Deserialize>(stream: &mut impl Read) -> io::Result<T> {
             "frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte limit"
         )));
     }
-    let mut payload = vec![0u8; len as usize];
-    stream.read_exact(&mut payload)?;
+    let mut payload = Vec::new();
+    stream.take(u64::from(len)).read_to_end(&mut payload)?;
+    if payload.len() != len as usize {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame ended after {} of {len} bytes", payload.len()),
+        ));
+    }
     let text = String::from_utf8(payload).map_err(invalid)?;
     serde_json::from_str(&text).map_err(invalid)
 }
@@ -213,6 +221,35 @@ mod tests {
         write_frame(&mut wire, &req).unwrap();
         wire.pop();
         assert!(read_frame::<Request>(&mut wire.as_slice()).is_err());
+        // A prefix claiming 200 MiB, then EOF: an error, not a 200 MiB buffer.
+        let mut wire = (200u32 << 20).to_be_bytes().to_vec();
+        wire.extend_from_slice(b"[");
+        assert_eq!(
+            read_frame::<Request>(&mut wire.as_slice())
+                .unwrap_err()
+                .kind(),
+            io::ErrorKind::UnexpectedEof
+        );
+    }
+
+    #[test]
+    fn deeply_nested_frames_are_rejected_on_a_small_stack() {
+        // 100 000 open brackets: an unbounded recursive parser overflows
+        // this thread's stack and aborts the process.
+        let payload = "[".repeat(100_000);
+        let mut wire = (payload.len() as u32).to_be_bytes().to_vec();
+        wire.extend_from_slice(payload.as_bytes());
+        let kind = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || {
+                read_frame::<Request>(&mut wire.as_slice())
+                    .unwrap_err()
+                    .kind()
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert_eq!(kind, io::ErrorKind::InvalidData);
     }
 
     #[test]

@@ -500,6 +500,21 @@ impl Scenario {
             fault_plan: self.fault_plan.clone(),
         }
     }
+
+    /// Whether `other` lies on the same grid point: every axis agrees but
+    /// the replication (and with it the index and derived seed).
+    pub fn same_point(&self, other: &Scenario) -> bool {
+        self.offered_load == other.offered_load && self.same_ladder(other)
+    }
+
+    /// Whether `other` lies on the same load ladder: every axis agrees but
+    /// the offered load and the replication.
+    pub fn same_ladder(&self, other: &Scenario) -> bool {
+        self.network == other.network
+            && self.traffic == other.traffic
+            && self.buffer_mode == other.buffer_mode
+            && self.fault_plan == other.fault_plan
+    }
 }
 
 /// Derives the scenario seed from the campaign seed and the scenario index.
@@ -565,7 +580,7 @@ pub struct ScenarioResult {
 }
 
 /// Whole-campaign totals and extremes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct CampaignAggregate {
     /// Sum of `offered` over all scenarios.
     pub total_offered: u64,
@@ -616,121 +631,6 @@ pub struct CampaignReport {
 }
 
 impl CampaignReport {
-    /// An empty partial report for `config`: no slots filled yet. The unit
-    /// of [`CampaignReport::merge`] — a results store starts here and folds
-    /// in per-shard partial reports as they arrive.
-    pub fn empty(config: &CampaignConfig) -> Self {
-        CampaignReport {
-            campaign_seed: config.campaign_seed,
-            buffer_modes: config.buffer_modes.clone(),
-            fault_plans: config.fault_plans.clone(),
-            cycles: config.cycles,
-            warmup: config.warmup,
-            scenario_count: 0,
-            scenarios: Vec::new(),
-            aggregate: aggregate(&[]),
-        }
-    }
-
-    /// A partial report holding the given results, slotted by canonical
-    /// scenario index. The results may arrive in any order and cover any
-    /// subset of the grid; duplicate and out-of-range slots are rejected
-    /// with a typed [`MergeError`].
-    pub fn partial(
-        config: &CampaignConfig,
-        mut results: Vec<ScenarioResult>,
-    ) -> Result<Self, MergeError> {
-        let total = config.scenario_count();
-        results.sort_by_key(|r| r.scenario.index);
-        for pair in results.windows(2) {
-            if pair[0].scenario.index == pair[1].scenario.index {
-                return Err(MergeError::DuplicateSlot {
-                    slot: pair[0].scenario.index,
-                });
-            }
-        }
-        if let Some(last) = results.last() {
-            if last.scenario.index >= total {
-                return Err(MergeError::SlotOutOfRange {
-                    slot: last.scenario.index,
-                    slots: total,
-                });
-            }
-        }
-        let mut report = CampaignReport::empty(config);
-        report.scenario_count = results.len();
-        report.aggregate = aggregate(&results);
-        report.scenarios = results;
-        Ok(report)
-    }
-
-    /// Folds another (possibly partial) report into `self`, slot by slot:
-    /// the two reports' scenario sets must be disjoint by canonical index,
-    /// and their campaign headers (seed, axes, cycle counts) must agree.
-    /// This is the report-level promotion of [`Metrics::merge`] — where that
-    /// adds counters *within* one slot, this unions *slots* — and it is what
-    /// a distributed results store uses to accumulate shards from any worker
-    /// topology: merging is order-independent, and once every slot is
-    /// filled the report is byte-identical to the single-process run.
-    pub fn merge(&mut self, other: &CampaignReport) -> Result<(), MergeError> {
-        fn header(field: &'static str) -> MergeError {
-            MergeError::HeaderMismatch { field }
-        }
-        if self.campaign_seed != other.campaign_seed {
-            return Err(header("campaign_seed"));
-        }
-        if self.buffer_modes != other.buffer_modes {
-            return Err(header("buffer_modes"));
-        }
-        if self.fault_plans != other.fault_plans {
-            return Err(header("fault_plans"));
-        }
-        if self.cycles != other.cycles {
-            return Err(header("cycles"));
-        }
-        if self.warmup != other.warmup {
-            return Err(header("warmup"));
-        }
-        // Disjointness is checked before anything is moved, so a rejected
-        // merge leaves the store untouched and retryable.
-        {
-            let mut left = self.scenarios.iter().map(|r| r.scenario.index).peekable();
-            let mut right = other.scenarios.iter().map(|r| r.scenario.index).peekable();
-            while let (Some(&a), Some(&b)) = (left.peek(), right.peek()) {
-                match a.cmp(&b) {
-                    std::cmp::Ordering::Equal => return Err(MergeError::DuplicateSlot { slot: a }),
-                    std::cmp::Ordering::Less => {
-                        left.next();
-                    }
-                    std::cmp::Ordering::Greater => {
-                        right.next();
-                    }
-                }
-            }
-        }
-        let mut merged = Vec::with_capacity(self.scenarios.len() + other.scenarios.len());
-        let mut left = std::mem::take(&mut self.scenarios).into_iter().peekable();
-        let mut right = other.scenarios.iter().peekable();
-        loop {
-            match (left.peek(), right.peek()) {
-                (Some(a), Some(b)) => {
-                    if a.scenario.index < b.scenario.index {
-                        merged.push(left.next().expect("peeked"));
-                    } else {
-                        merged.push(right.next().expect("peeked").clone());
-                    }
-                }
-                (Some(_), None) => merged.push(left.next().expect("peeked")),
-                (None, Some(_)) => merged.push(right.next().expect("peeked").clone()),
-                (None, None) => break,
-            }
-        }
-        self.scenario_count = merged.len();
-        self.aggregate = aggregate(&merged);
-        self.scenarios = merged;
-        Ok(())
-    }
-
     /// Whether this report fills every slot of `config`'s grid.
     pub fn is_complete_for(&self, config: &CampaignConfig) -> bool {
         self.scenario_count == config.scenario_count()
@@ -933,12 +833,12 @@ impl From<MergeError> for CampaignError {
     }
 }
 
-/// Why results could not be slotted into (or merged between) reports.
+/// Why results could not be slotted into a report.
 ///
 /// Slots are canonical scenario indices, so these errors are the typed form
-/// of every way a distributed results store can be handed inconsistent
-/// data: the same slot twice, a slot outside the grid, a hole where a shard
-/// never reported, or partial reports from two different campaigns.
+/// of every way an executor can hand [`assemble`] inconsistent data: the
+/// same slot twice, a slot outside the grid, or a hole where a shard never
+/// reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MergeError {
     /// Two results claim the same canonical scenario index.
@@ -958,11 +858,6 @@ pub enum MergeError {
         /// The first unfilled scenario index.
         slot: usize,
     },
-    /// Two reports describe different campaigns and cannot be merged.
-    HeaderMismatch {
-        /// The first header field that disagrees.
-        field: &'static str,
-    },
 }
 
 impl std::fmt::Display for MergeError {
@@ -977,34 +872,17 @@ impl std::fmt::Display for MergeError {
             MergeError::MissingSlot { slot } => {
                 write!(f, "no result for scenario slot {slot}")
             }
-            MergeError::HeaderMismatch { field } => {
-                write!(f, "reports disagree on campaign header field `{field}`")
-            }
         }
     }
 }
 
 impl std::error::Error for MergeError {}
 
-/// Per-cell disjoint-path diversity histograms, computed once per grid cell
-/// before the fan-out (the histogram depends only on the topology, not on
-/// the traffic/load/mode/plan axes). Cells above 8 stages are skipped — the
-/// per-pair analysis is quadratic in the cell count.
+/// Per-cell disjoint-path diversity histograms, filled on demand by one
+/// executor across the shards it runs. The histogram depends only on the
+/// topology, not on the traffic/load/mode/plan axes, so a cache hit yields
+/// the same bytes as a fresh computation.
 type DiversityMap = std::collections::HashMap<NetworkSpec, Vec<u64>>;
-
-fn diversity_map(config: &CampaignConfig) -> DiversityMap {
-    let mut map = DiversityMap::new();
-    if config.fault_plans.iter().all(FaultPlan::is_empty) {
-        return map;
-    }
-    for &spec in &config.cells {
-        if spec.stages() <= 8 {
-            map.entry(spec)
-                .or_insert_with(|| min_routing::disjoint::path_diversity_histogram(&spec.build()));
-        }
-    }
-    map
-}
 
 fn map_sim_error(campaign: &CampaignConfig, scenario: &Scenario, error: SimError) -> CampaignError {
     match error {
@@ -1069,15 +947,14 @@ fn scenario_result(
 fn run_grid_point(
     campaign: &CampaignConfig,
     group: &[Scenario],
-    shared: Option<&DiversityMap>,
     cache: &mut DiversityMap,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
     let first = &group[0];
     let net = first.network.build();
+    // Cells above 8 stages are skipped: the per-pair analysis is quadratic
+    // in the cell count.
     let path_diversity = if first.fault_plan.is_empty() || first.network.stages() > 8 {
         Vec::new()
-    } else if let Some(map) = shared {
-        map.get(&first.network).cloned().unwrap_or_default()
     } else {
         cache
             .entry(first.network)
@@ -1109,20 +986,17 @@ pub fn execute_shard(
     config: &CampaignConfig,
     shard: &Shard,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
-    execute_shard_with(config, shard, None)
+    execute_shard_with(config, shard, &mut DiversityMap::new())
 }
 
-/// [`execute_shard`] with an optional precomputed disjoint-path diversity
-/// map: the in-process runner computes each grid cell's histogram once per
-/// campaign and shares it across every shard, instead of once per shard.
-/// The histogram is a pure function of the topology, so both paths produce
-/// identical bytes.
+/// [`execute_shard`] with a diversity cache the caller keeps across shards:
+/// each in-process worker computes a grid cell's histogram once, not once
+/// per shard.
 fn execute_shard_with(
     config: &CampaignConfig,
     shard: &Shard,
-    shared: Option<&DiversityMap>,
+    cache: &mut DiversityMap,
 ) -> Result<Vec<ScenarioResult>, CampaignError> {
-    let mut cache = DiversityMap::new();
     let mut out = Vec::with_capacity(shard.scenarios.len());
     let mut start = 0;
     while start < shard.scenarios.len() {
@@ -1132,16 +1006,10 @@ fn execute_shard_with(
         let end = start
             + shard.scenarios[start..]
                 .iter()
-                .take_while(|s| {
-                    s.network == first.network
-                        && s.traffic == first.traffic
-                        && s.offered_load == first.offered_load
-                        && s.buffer_mode == first.buffer_mode
-                        && s.fault_plan == first.fault_plan
-                })
+                .take_while(|s| s.same_point(first))
                 .count();
         let group = &shard.scenarios[start..end];
-        out.extend(run_grid_point(config, group, shared, &mut cache)?);
+        out.extend(run_grid_point(config, group, cache)?);
         start = end;
     }
     Ok(out)
@@ -1157,22 +1025,38 @@ fn execute_shard_with(
 /// the integration oracle every executor topology is held to.
 pub fn assemble(
     config: &CampaignConfig,
-    results: Vec<ScenarioResult>,
+    mut results: Vec<ScenarioResult>,
 ) -> Result<CampaignReport, MergeError> {
-    let report = CampaignReport::partial(config, results)?;
-    let expected = config.scenario_count();
-    if report.scenario_count != expected {
-        // `partial` sorted and deduplicated the slots, so the first index
-        // that does not match its position is the first hole.
-        let missing = report
-            .scenarios
-            .iter()
-            .enumerate()
-            .find(|(slot, r)| r.scenario.index != *slot)
-            .map_or(report.scenario_count, |(slot, _)| slot);
-        return Err(MergeError::MissingSlot { slot: missing });
+    let slots = config.scenario_count();
+    results.sort_by_key(|r| r.scenario.index);
+    // Every position before `slot` holds its own index, so a smaller index
+    // repeats the previous one and a larger one skips a hole.
+    for (slot, r) in results.iter().enumerate() {
+        let index = r.scenario.index;
+        if index >= slots {
+            return Err(MergeError::SlotOutOfRange { slot: index, slots });
+        }
+        match index.cmp(&slot) {
+            std::cmp::Ordering::Less => return Err(MergeError::DuplicateSlot { slot: index }),
+            std::cmp::Ordering::Greater => return Err(MergeError::MissingSlot { slot }),
+            std::cmp::Ordering::Equal => {}
+        }
     }
-    Ok(report)
+    if results.len() < slots {
+        return Err(MergeError::MissingSlot {
+            slot: results.len(),
+        });
+    }
+    Ok(CampaignReport {
+        campaign_seed: config.campaign_seed,
+        buffer_modes: config.buffer_modes.clone(),
+        fault_plans: config.fault_plans.clone(),
+        cycles: config.cycles,
+        warmup: config.warmup,
+        scenario_count: slots,
+        aggregate: aggregate(&results),
+        scenarios: results,
+    })
 }
 
 /// The in-process executor: the thin compatibility wrapper chaining
@@ -1195,7 +1079,6 @@ pub fn run_campaign(
     let plan = config.plan()?;
     let shards = &plan.shards;
     let workers = effective_threads(threads, shards.len());
-    let diversity = diversity_map(config);
 
     let cursor = AtomicUsize::new(0);
     let collected: Vec<(usize, Result<Vec<ScenarioResult>, CampaignError>)> =
@@ -1204,15 +1087,15 @@ pub fn run_campaign(
                 .map(|_| {
                     let cursor = &cursor;
                     let shards = &shards;
-                    let diversity = &diversity;
                     scope.spawn(move || {
+                        let mut diversity = DiversityMap::new();
                         let mut local = Vec::new();
                         loop {
                             let g = cursor.fetch_add(1, Ordering::Relaxed);
                             if g >= shards.len() {
                                 break;
                             }
-                            let result = execute_shard_with(config, &shards[g], Some(diversity));
+                            let result = execute_shard_with(config, &shards[g], &mut diversity);
                             local.push((g, result));
                         }
                         local
@@ -1247,21 +1130,10 @@ fn effective_threads(requested: usize, grid_points: usize) -> usize {
     requested.clamp(1, grid_points.max(1))
 }
 
+/// Sums the results in slot order, so the floating-point totals are
+/// bit-identical for every executor.
 fn aggregate(results: &[ScenarioResult]) -> CampaignAggregate {
-    let mut a = CampaignAggregate {
-        total_offered: 0,
-        total_injected: 0,
-        total_delivered: 0,
-        total_dropped: 0,
-        total_dropped_arbitration: 0,
-        total_dropped_backpressure: 0,
-        total_dropped_fault: 0,
-        total_unroutable_drops: 0,
-        total_delivered_despite_fault: 0,
-        mean_throughput: 0.0,
-        worst_p99_latency: 0,
-        worst_mean_latency: 0.0,
-    };
+    let mut a = CampaignAggregate::default();
     for r in results {
         a.total_offered += r.offered;
         a.total_injected += r.injected;
@@ -1787,66 +1659,6 @@ mod tests {
             MergeError::SlotOutOfRange {
                 slot: cfg.scenario_count() + 3,
                 slots: cfg.scenario_count(),
-            }
-        );
-    }
-
-    #[test]
-    fn partial_reports_merge_into_the_complete_report() {
-        let cfg = tiny().with_replications(2);
-        let reference = run_campaign(&cfg, 1).unwrap();
-        let plan = cfg.plan_chunked(2).unwrap();
-        let mut merged = CampaignReport::empty(&cfg);
-        assert!(!merged.is_complete_for(&cfg));
-        // Merge shard-sized partial reports in reverse order.
-        for shard in plan.shards.iter().rev() {
-            let part = CampaignReport::partial(&cfg, execute_shard(&cfg, shard).unwrap()).unwrap();
-            merged.merge(&part).unwrap();
-        }
-        assert!(merged.is_complete_for(&cfg));
-        assert_eq!(merged.to_json(), reference.to_json());
-    }
-
-    #[test]
-    fn merge_rejects_overlaps_without_corrupting_the_target() {
-        let cfg = tiny();
-        let plan = cfg.plan_chunked(2).unwrap();
-        let a =
-            CampaignReport::partial(&cfg, execute_shard(&cfg, &plan.shards[0]).unwrap()).unwrap();
-        let mut target = a.clone();
-        let overlap_slot = plan.shards[0].first_index().unwrap();
-        assert_eq!(
-            target.merge(&a).unwrap_err(),
-            MergeError::DuplicateSlot { slot: overlap_slot }
-        );
-        // The failed merge must leave the target untouched and retryable.
-        assert_eq!(target, a);
-        let b =
-            CampaignReport::partial(&cfg, execute_shard(&cfg, &plan.shards[1]).unwrap()).unwrap();
-        target.merge(&b).unwrap();
-        assert_eq!(
-            target.scenario_count,
-            plan.shards[0].len() + plan.shards[1].len()
-        );
-    }
-
-    #[test]
-    fn merge_rejects_header_mismatches() {
-        let cfg = tiny();
-        let other_cfg = tiny().with_seed(cfg.campaign_seed ^ 0xdead_beef);
-        let plan = cfg.plan_chunked(2).unwrap();
-        let other_plan = other_cfg.plan_chunked(2).unwrap();
-        let mut a =
-            CampaignReport::partial(&cfg, execute_shard(&cfg, &plan.shards[0]).unwrap()).unwrap();
-        let b = CampaignReport::partial(
-            &other_cfg,
-            execute_shard(&other_cfg, &other_plan.shards[1]).unwrap(),
-        )
-        .unwrap();
-        assert_eq!(
-            a.merge(&b).unwrap_err(),
-            MergeError::HeaderMismatch {
-                field: "campaign_seed"
             }
         );
     }

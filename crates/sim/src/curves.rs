@@ -91,27 +91,13 @@ impl Point<'_> {
     }
 }
 
-/// Whether two scenarios share every grid axis but the replication.
-fn same_point(a: &Scenario, b: &Scenario) -> bool {
-    a.offered_load == b.offered_load && same_ladder(a, b)
-}
-
-/// Whether two scenarios share every grid axis but the load and the
-/// replication.
-fn same_ladder(a: &Scenario, b: &Scenario) -> bool {
-    a.network == b.network
-        && a.traffic == b.traffic
-        && a.buffer_mode == b.buffer_mode
-        && a.fault_plan == b.fault_plan
-}
-
 /// Folds the report's results into one [`Point`] per grid point, in
 /// canonical order.
 pub fn fold_points(report: &CampaignReport) -> Vec<Point<'_>> {
     let mut points: Vec<Point<'_>> = Vec::new();
     for r in &report.scenarios {
         let s = &r.scenario;
-        if !points.last().is_some_and(|p| same_point(p.scenario, s)) {
+        if !points.last().is_some_and(|p| p.scenario.same_point(s)) {
             points.push(Point {
                 scenario: s,
                 replications: 0,
@@ -172,7 +158,7 @@ pub fn ladders(points: Vec<Point<'_>>) -> Vec<Ladder<'_>> {
     for p in points {
         match out
             .iter_mut()
-            .find(|l| same_ladder(l.scenario(), p.scenario))
+            .find(|l| l.scenario().same_ladder(p.scenario))
         {
             Some(ladder) => ladder.points.push(p),
             None => out.push(Ladder { points: vec![p] }),
@@ -193,7 +179,7 @@ pub fn load_json(load: Option<f64>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CampaignConfig, ScenarioResult};
+    use crate::campaign::{assemble, CampaignConfig, ScenarioResult};
     use crate::config::BufferMode;
     use min_networks::{ClassicalNetwork, NetworkSpec};
 
@@ -234,7 +220,7 @@ mod tests {
                 }
             })
             .collect();
-        CampaignReport::partial(config, results).unwrap()
+        assemble(config, results).unwrap()
     }
 
     /// One 8-terminal Omega cell, 100 cycles: 800 terminal-cycle slots per

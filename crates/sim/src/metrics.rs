@@ -251,8 +251,6 @@ impl Metrics {
     /// still in flight.
     pub fn conserved(&self) -> bool {
         self.injected == self.delivered + self.dropped() + self.in_flight_at_end
-            || // unbuffered drops are counted against injection in the same cycle
-            self.injected + self.dropped() >= self.delivered
     }
 }
 

@@ -3,7 +3,7 @@
 //! Spins up a `min-serve` master on an ephemeral localhost port, submits a
 //! small campaign, runs a few worker loops in threads — killing one of
 //! them right after its first lease to exercise heartbeat failover — and
-//! then proves the merged report is byte-identical to the single-threaded
+//! then proves the assembled report is byte-identical to the single-threaded
 //! in-process run. The same flow works across machines with the
 //! `min_serve` binary: `master`, `worker --connect`, `submit --wait`.
 //!
