@@ -48,4 +48,4 @@ pub use disjoint::{
 };
 pub use path::{route_terminals, CellPath, TerminalRoute};
 pub use permutation_routing::{permutation_conflicts, ConflictReport};
-pub use tag::{destination_tags, route_with_tag, tag_for_destination, SelfRoutingTable};
+pub use tag::{destination_tags, SelfRoutingTable};

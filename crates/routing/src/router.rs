@@ -1,32 +1,23 @@
 //! A uniform routing interface over self-routing, multi-path and
 //! permutation-configured fabrics.
 //!
-//! Before this module the engine reached for a different entry point per
-//! situation: [`crate::destination_tags`] for delta networks,
-//! [`crate::route_around`] / [`crate::surviving_path`] when links die, and
-//! nothing at all for rearrangeable fabrics. [`Router`] folds them into one
-//! question — *which tag does the packet at `(source, terminal)` use to
-//! reach `destination`?* — so the simulator picks an implementation per
-//! scenario instead of growing network-specific branches:
+//! [`Router`] answers one question — *which tag does the packet at
+//! `(source, terminal)` use to reach `destination`?* — so the simulator
+//! picks an implementation per scenario instead of growing network-specific
+//! branches:
 //!
 //! * [`DeltaRouter`] — the classical bit-directed routing of §4: the tag
 //!   depends only on the destination. Exists iff the network is delta.
-//! * [`MultiPathRouter`] — per-pair link-disjoint path tags (the PR 5
-//!   machinery); the two terminals of a cell spread across the disjoint
-//!   paths. Works on any proper network, including the full Benes, and
+//! * [`MultiPathRouter`] — per-pair link-disjoint path tags; the two
+//!   terminals of a cell spread across the disjoint paths. Works on any
+//!   proper network, including the full Benes, and
 //!   [`MultiPathRouter::avoiding`] builds the same table around a
 //!   [`FaultDigest`] via [`crate::surviving_path`].
 //! * [`LoopingRouter`] — a conflict-free setting for one full permutation,
 //!   computed by [`crate::looping::loop_setup`].
 //!
-//! ## Migration from the pre-trait API
-//!
-//! Code that called `destination_tags(net)` and threaded the
-//! [`SelfRoutingTable`] around can construct a [`DeltaRouter`] instead; code
-//! that matched on fault state to pick `route` vs `route_around` can hold a
-//! `Box<dyn Router>` / `Arc<dyn Router>` and let construction-time selection
-//! do the matching. The tag encoding is unchanged (bit `s` = out-port at
-//! connection `s`), so existing switch cores consume the result as-is.
+//! The tag encoding is the same everywhere (bit `s` = out-port at
+//! connection `s`), so the switch cores consume every router's tags alike.
 
 use crate::disjoint::{disjoint_paths, path_tag, route_all_to, FaultDigest};
 use crate::looping::{loop_setup, LoopingError, LoopingSetting};
@@ -61,11 +52,6 @@ impl DeltaRouter {
     /// Wraps an already-computed self-routing table.
     pub fn from_table(table: SelfRoutingTable) -> Self {
         DeltaRouter { table }
-    }
-
-    /// The underlying tag↔destination bijection.
-    pub fn table(&self) -> &SelfRoutingTable {
-        &self.table
     }
 }
 
@@ -138,6 +124,12 @@ impl MultiPathRouter {
     pub fn path_count(&self, source: u64, destination: u64) -> usize {
         self.tags[source as usize * self.cells + destination as usize].len()
     }
+
+    /// Number of (source, destination) pairs with no stored path — the
+    /// pairs a fault digest severs.
+    pub fn severed_pairs(&self) -> u64 {
+        self.tags.iter().filter(|list| list.is_empty()).count() as u64
+    }
 }
 
 impl Router for MultiPathRouter {
@@ -169,16 +161,6 @@ impl LoopingRouter {
     /// terminal per source terminal).
     pub fn new(net: &ConnectionNetwork, permutation: &[u32]) -> Result<Self, LoopingError> {
         loop_setup(net, permutation).map(|setting| LoopingRouter { setting })
-    }
-
-    /// Wraps an existing setting.
-    pub fn from_setting(setting: LoopingSetting) -> Self {
-        LoopingRouter { setting }
-    }
-
-    /// The underlying switch setting.
-    pub fn setting(&self) -> &LoopingSetting {
-        &self.setting
     }
 }
 
@@ -252,16 +234,19 @@ mod tests {
         digest.kill_cell(2, 3);
         let router = MultiPathRouter::avoiding(&net, &digest);
         let cells = net.cells_per_stage() as u64;
+        let mut severed = 0;
         for src in 0..cells {
             for dst in 0..cells {
                 let expected = route_around(&net, src, dst, &digest);
                 match (expected.path(), router.tag(src, 0, dst)) {
                     (Some(path), Some(tag)) => assert_eq!(tag, path_tag(path)),
-                    (None, None) => {}
+                    (None, None) => severed += 1,
                     other => panic!("{src}->{dst}: {other:?}"),
                 }
             }
         }
+        assert!(severed > 0, "the dead cell severs pairs");
+        assert_eq!(router.severed_pairs(), severed);
         assert_eq!(router.label(), "multi-path-avoiding");
     }
 

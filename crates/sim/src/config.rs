@@ -137,8 +137,8 @@ pub struct SimConfig {
     /// PRNG seed (the simulation is fully deterministic given the seed).
     pub seed: u64,
     /// Failures injected into the run ([`FaultPlan::none`] = healthy
-    /// fabric; the empty plan runs the exact fault-free code path). Fault
-    /// sites are validated against the fabric at simulator construction.
+    /// fabric). Fault sites are validated against the fabric at simulator
+    /// construction.
     pub fault_plan: FaultPlan,
 }
 

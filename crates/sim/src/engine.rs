@@ -10,8 +10,10 @@
 //! 2. **switching** — every interior cell moves traffic one stage forward,
 //!    choosing the out-port from the packet's destination tag;
 //! 3. **injection** — each of the two terminals of every first-stage cell
-//!    offers a packet with probability `offered_load`; accepted packets are
-//!    tagged with the routing tag of their destination.
+//!    offers a packet with probability `offered_load`; each accepted packet
+//!    takes the tag one [`min_routing::router::Router`] gives it: the
+//!    fabric's (delta, looping or multi-path), or while a dead link or dead
+//!    switch is active the fault epoch's (see [`crate::fault`]).
 //!
 //! The *storage* behind those phases is pluggable: the engine owns the
 //! clock, the ChaCha8 RNG and the traffic sources, and drives a
@@ -23,12 +25,13 @@
 
 use crate::config::{ConfigError, SimConfig};
 use crate::fabric::{Fabric, FabricError};
-use crate::fault::{FaultError, FaultRuntime, FaultView};
+use crate::fault::{enter_cycle, FaultError, FaultRuntime};
 use crate::metrics::Metrics;
 use crate::packet::Packet;
 use crate::switch::{build_core, SwitchCore};
 use crate::traffic::{DestSampler, Offer, TrafficSources};
 use min_core::ConnectionNetwork;
+use min_routing::router::{MultiPathRouter, Router};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -73,6 +76,45 @@ impl From<FaultError> for SimError {
     }
 }
 
+/// What both engines build from a network and a configuration.
+pub(crate) struct Setup {
+    pub(crate) fabric: Fabric,
+    pub(crate) sampler: DestSampler,
+    /// Fault machinery, present only for a non-empty
+    /// [`SimConfig::fault_plan`].
+    pub(crate) faults: Option<FaultRuntime>,
+}
+
+impl Setup {
+    /// Validates `config`, builds the fabric with the router for its
+    /// traffic, checks the traffic against that fabric, builds the
+    /// destination sampler, and validates and compiles the fault plan — in
+    /// that order, so the first problem found is the typed error returned.
+    pub(crate) fn new(net: ConnectionNetwork, config: &SimConfig) -> Result<Self, SimError> {
+        config.validate()?;
+        let fabric = Fabric::new(net, &config.traffic)?;
+        let (stages, cells) = (fabric.stages(), fabric.cells());
+        config
+            .traffic
+            .validate_for(cells as u32)
+            .map_err(ConfigError::from)?;
+        let sampler = config
+            .traffic
+            .sampler(cells as u32, fabric.network().width());
+        let faults = if config.fault_plan.is_empty() {
+            None
+        } else {
+            config.fault_plan.validate(stages, cells)?;
+            Some(FaultRuntime::new(&config.fault_plan, stages, cells))
+        };
+        Ok(Setup {
+            fabric,
+            sampler,
+            faults,
+        })
+    }
+}
+
 /// A running simulation.
 #[derive(Debug)]
 pub struct Simulator {
@@ -80,8 +122,7 @@ pub struct Simulator {
     config: SimConfig,
     rng: ChaCha8Rng,
     core: Box<dyn SwitchCore>,
-    /// Fault machinery, present only for a non-empty [`SimConfig::fault_plan`]
-    /// — `None` runs the exact fault-free code path.
+    /// Fault machinery, present only for a non-empty [`SimConfig::fault_plan`].
     faults: Option<FaultRuntime>,
     /// Injection state of the traffic pattern (ON/OFF chains, trace
     /// schedules; stateless for the classic patterns).
@@ -103,30 +144,14 @@ impl Simulator {
     /// zero lane/depth parameter or a fault site outside the fabric is a
     /// typed error here rather than a panic or silent misbehaviour mid-run.
     pub fn new(net: ConnectionNetwork, config: SimConfig) -> Result<Self, SimError> {
-        config.validate()?;
-        let fabric = Fabric::for_traffic(net, &config.traffic)?;
-        config
-            .traffic
-            .validate_for(fabric.cells() as u32)
-            .map_err(ConfigError::from)?;
-        let sampler = config
-            .traffic
-            .sampler(fabric.cells() as u32, fabric.network().width());
+        let Setup {
+            fabric,
+            sampler,
+            faults,
+        } = Setup::new(net, &config)?;
         let sources = TrafficSources::new(&config.traffic, fabric.cells());
         let core = build_core(config.buffer_mode, fabric.stages(), fabric.cells());
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let faults = if config.fault_plan.is_empty() {
-            None
-        } else {
-            config
-                .fault_plan
-                .validate(fabric.stages(), fabric.cells())?;
-            Some(FaultRuntime::new(
-                &config.fault_plan,
-                fabric.stages(),
-                fabric.cells(),
-            ))
-        };
         Ok(Simulator {
             fabric,
             config,
@@ -164,19 +189,21 @@ impl Simulator {
     /// Number of (source, destination) cell pairs currently severed by
     /// active faults (0 for a healthy fabric or before any onset).
     pub fn severed_pairs(&self) -> u64 {
-        self.faults.as_ref().map_or(0, FaultRuntime::severed_pairs)
+        self.faults
+            .as_ref()
+            .and_then(FaultRuntime::router)
+            .map_or(0, MultiPathRouter::severed_pairs)
     }
 
     /// Runs one cycle.
     pub fn step(&mut self) {
-        // Phase 0: cross any fault-onset boundary (recomputes the
-        // per-pair reroute table; a cheap no-op on every other cycle).
-        if let Some(rt) = self.faults.as_mut() {
-            rt.advance(self.fabric.network(), self.cycle);
-        }
-        let faults = match self.faults.as_ref() {
-            Some(rt) => FaultView::at(&rt.state, self.cycle),
-            None => FaultView::healthy(self.cycle),
+        // Phase 0: cross any severing onset (builds that epoch's
+        // fault-avoiding router on first entry; a cheap no-op on every
+        // other cycle). Outside a severing epoch the fabric's router steers.
+        let (faults, epoch) = enter_cycle(&mut self.faults, self.fabric.network(), self.cycle);
+        let router: &dyn Router = match epoch {
+            Some(router) => router,
+            None => self.fabric.router(),
         };
 
         // Phase 1: delivery at the last stage.
@@ -218,26 +245,11 @@ impl Simulator {
                     Offer::PacketTo(dest) => dest,
                     _ => self.sampler.draw(cell as u32, &mut self.rng),
                 };
-                // Under faults the tag comes from the pair's surviving path
-                // (destination-tag reroute); otherwise the fabric's router
-                // picks it per (source, terminal). Either way an unreachable
-                // destination refuses the packet at the source instead of
-                // losing it inside.
-                let tag = match self.faults.as_ref() {
-                    Some(rt) => match rt.pair_tag(cell, destination as usize) {
-                        Some(tag) => tag,
-                        None => {
-                            self.metrics.unroutable_drops += 1;
-                            continue;
-                        }
-                    },
-                    None => match self.fabric.route(cell as u32, terminal, destination) {
-                        Some(tag) => tag,
-                        None => {
-                            self.metrics.unroutable_drops += 1;
-                            continue;
-                        }
-                    },
+                // An unreachable destination refuses the packet at the
+                // source instead of losing it inside.
+                let Some(tag) = router.tag(cell as u64, terminal, u64::from(destination)) else {
+                    self.metrics.unroutable_drops += 1;
+                    continue;
                 };
                 let packet = Packet {
                     id: self.next_packet_id,

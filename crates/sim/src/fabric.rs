@@ -1,21 +1,15 @@
 //! The switching fabric: a connection network plus the router that steers
 //! its packets.
 //!
-//! Since the `Router` redesign the fabric holds an
-//! [`min_routing::router::Router`] trait object selected at construction
-//! time, so the engine asks one uniform question — *which tag does the
-//! packet at `(source, terminal)` use for `destination`?* — and delta,
-//! multi-path and permutation-configured (looping) fabrics all plug in
-//! without engine-side branching:
-//!
-//! * [`Fabric::new`] keeps the historical contract: destination-tag
-//!   routing only, with [`FabricError::NotDelta`] for anything else (the
-//!   bit-parallel lane engine and existing callers rely on this);
-//! * [`Fabric::for_traffic`] picks the router for a scenario — the delta
-//!   table when one exists, the looping algorithm for a full-permutation
-//!   traffic pattern on a rearrangeable fabric (a structural failure is the
-//!   typed [`FabricError::NotRearrangeable`]), and per-pair multi-path
-//!   routing otherwise.
+//! [`Fabric::new`] picks one [`min_routing::router::Router`] per scenario,
+//! so the engines ask one question — *which tag does the packet at
+//! `(source, terminal)` use for `destination`?* — and delta, multi-path and
+//! permutation-configured (looping) fabrics all plug in without engine-side
+//! branching. The router is the delta table when the network has one, the
+//! looping algorithm for a full-permutation traffic pattern on a
+//! rearrangeable fabric (a structural failure is the typed
+//! [`FabricError::NotRearrangeable`]), and per-pair multi-path routing
+//! otherwise.
 
 use crate::traffic::TrafficPattern;
 use min_core::ConnectionNetwork;
@@ -36,34 +30,15 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds a destination-tag-routed fabric, verifying delta routability —
-    /// the pre-redesign contract, unchanged.
-    pub fn new(net: ConnectionNetwork) -> Result<Self, FabricError> {
-        if !net.is_proper() {
-            return Err(FabricError::NotTwoRegular);
-        }
-        let routing = destination_tags(&net).ok_or(FabricError::NotDelta)?;
-        let router: Arc<dyn Router> = Arc::new(DeltaRouter::from_table(routing.clone()));
-        Ok(Fabric {
-            net,
-            routing: Some(routing),
-            router,
-        })
-    }
-
-    /// Builds a fabric with the router selected for `traffic`:
+    /// Builds the fabric with the router selected for `traffic`:
     ///
-    /// * a delta network gets its destination-tag table (bit-identical to
-    ///   [`Fabric::new`]);
+    /// * a delta network gets its destination-tag table;
     /// * a non-delta network under [`TrafficPattern::Permutation`] traffic
     ///   that is a full cell permutation is configured by the looping
     ///   algorithm — every packet follows its conflict-free circuit;
     /// * any other non-delta combination falls back to per-pair
     ///   link-disjoint multi-path routing.
-    pub fn for_traffic(
-        net: ConnectionNetwork,
-        traffic: &TrafficPattern,
-    ) -> Result<Self, FabricError> {
+    pub fn new(net: ConnectionNetwork, traffic: &TrafficPattern) -> Result<Self, FabricError> {
         if !net.is_proper() {
             return Err(FabricError::NotTwoRegular);
         }
@@ -103,14 +78,6 @@ impl Fabric {
         &self.net
     }
 
-    /// The self-routing table. Panics for a non-delta fabric — use
-    /// [`Fabric::delta_routing`] when the fabric may be rearrangeable.
-    pub fn routing(&self) -> &SelfRoutingTable {
-        self.routing
-            .as_ref()
-            .expect("routing() requires a delta fabric; use delta_routing()")
-    }
-
     /// The destination-tag table when the network is delta.
     pub fn delta_routing(&self) -> Option<&SelfRoutingTable> {
         self.routing.as_ref()
@@ -129,20 +96,6 @@ impl Fabric {
     /// Number of stages.
     pub fn stages(&self) -> usize {
         self.net.stages()
-    }
-
-    /// Routing tag for a packet entering at `(source, terminal)` bound for
-    /// `destination`, or `None` when the router cannot reach it (counted as
-    /// an unroutable drop by the engine).
-    pub fn route(&self, source: u32, terminal: usize, destination: u32) -> Option<u32> {
-        self.router
-            .tag(u64::from(source), terminal, u64::from(destination))
-    }
-
-    /// Routing tag for a destination cell. Panics for a non-delta fabric —
-    /// the source-aware entry point is [`Fabric::route`].
-    pub fn tag_for(&self, destination: u32) -> u32 {
-        self.routing().tag_of_destination[destination as usize]
     }
 
     /// Next-stage cell reached from `cell` through out-port `port` of
@@ -190,7 +143,8 @@ fn is_cell_permutation(dest: &[u32], cells: usize) -> bool {
 pub enum FabricError {
     /// Some stage is not 2-regular.
     NotTwoRegular,
-    /// The network is not destination-tag routable.
+    /// The network is not destination-tag routable (the word-packed
+    /// [`crate::LaneEngine`] needs the delta table).
     NotDelta,
     /// The looping algorithm could not configure the requested permutation
     /// (the network is not Benes-structured, or the pattern is malformed).
@@ -222,20 +176,22 @@ mod tests {
     #[test]
     fn classical_networks_build_fabrics() {
         for n in 2..=6 {
-            let fabric = Fabric::new(omega(n)).expect("omega is delta");
+            let fabric = Fabric::new(omega(n), &TrafficPattern::Uniform).expect("omega is delta");
             assert_eq!(fabric.stages(), n);
             assert_eq!(fabric.cells(), 1 << (n - 1));
             assert_eq!(fabric.router().label(), "delta");
-            let fabric = Fabric::new(baseline(n)).expect("baseline is delta");
+            let fabric =
+                Fabric::new(baseline(n), &TrafficPattern::Uniform).expect("baseline is delta");
             assert_eq!(fabric.cells(), 1 << (n - 1));
         }
     }
 
     #[test]
     fn tags_route_to_their_destination() {
-        let fabric = Fabric::new(omega(4)).unwrap();
+        let fabric = Fabric::new(omega(4), &TrafficPattern::Uniform).unwrap();
+        let table = fabric.delta_routing().expect("omega is delta");
         for dst in 0..8u32 {
-            let tag = fabric.tag_for(dst);
+            let tag = table.tag_of_destination[dst as usize];
             for src in 0..8u32 {
                 let mut cell = src;
                 for s in 0..3 {
@@ -244,23 +200,15 @@ mod tests {
                 assert_eq!(cell, dst);
                 // The router interface agrees with the table.
                 for terminal in 0..2 {
-                    assert_eq!(fabric.route(src, terminal, dst), Some(tag));
+                    assert_eq!(
+                        fabric
+                            .router()
+                            .tag(u64::from(src), terminal, u64::from(dst)),
+                        Some(tag)
+                    );
                 }
             }
         }
-    }
-
-    #[test]
-    fn non_delta_networks_are_rejected() {
-        let table: [u64; 4] = [0, 1, 3, 2];
-        let weird = min_core::Connection::from_fn(
-            2,
-            move |x| table[x as usize],
-            move |x| table[x as usize] ^ 2,
-        );
-        let second = min_core::Connection::from_fn(2, |x| x >> 1, |x| (x >> 1) | 2);
-        let net = min_core::ConnectionNetwork::new(2, vec![weird, second]);
-        assert_eq!(Fabric::new(net).unwrap_err(), FabricError::NotDelta);
     }
 
     #[test]
@@ -268,41 +216,40 @@ mod tests {
         let skew = min_core::Connection::from_fn(2, |_| 0, |x| x);
         let second = min_core::Connection::from_fn(2, |x| x, |x| x ^ 1);
         let net = min_core::ConnectionNetwork::new(2, vec![skew, second]);
-        assert_eq!(Fabric::new(net).unwrap_err(), FabricError::NotTwoRegular);
         assert_eq!(
-            Fabric::for_traffic(net_irregular(), &TrafficPattern::Uniform).unwrap_err(),
+            Fabric::new(net, &TrafficPattern::Uniform).unwrap_err(),
             FabricError::NotTwoRegular
         );
     }
 
-    fn net_irregular() -> min_core::ConnectionNetwork {
-        let skew = min_core::Connection::from_fn(2, |_| 0, |x| x);
-        let second = min_core::Connection::from_fn(2, |x| x, |x| x ^ 1);
-        min_core::ConnectionNetwork::new(2, vec![skew, second])
-    }
-
     #[test]
-    fn for_traffic_matches_new_on_delta_networks() {
-        let a = Fabric::new(omega(4)).unwrap();
-        let b = Fabric::for_traffic(omega(4), &TrafficPattern::Uniform).unwrap();
-        assert_eq!(
-            a.routing().tag_of_destination,
-            b.routing().tag_of_destination
-        );
-        assert_eq!(b.router().label(), "delta");
+    fn delta_networks_route_by_destination_tag_under_every_traffic() {
+        let cells = omega(4).cells_per_stage() as u32;
+        for traffic in [
+            TrafficPattern::Uniform,
+            TrafficPattern::Permutation((0..cells).rev().collect()),
+        ] {
+            let fabric = Fabric::new(omega(4), &traffic).unwrap();
+            assert_eq!(fabric.router().label(), "delta", "{traffic:?}");
+            assert_eq!(
+                fabric.delta_routing(),
+                min_routing::tag::destination_tags(&omega(4)).as_ref()
+            );
+        }
     }
 
     #[test]
     fn permutation_traffic_on_benes_uses_the_looping_router() {
         let net = benes(3);
-        let cells = net.cells_per_stage() as u32;
-        let perm: Vec<u32> = (0..cells).map(|c| (c + 1) % cells).collect();
-        let fabric = Fabric::for_traffic(net, &TrafficPattern::Permutation(perm.clone())).unwrap();
+        let cells = net.cells_per_stage() as u64;
+        let perm: Vec<u32> = (0..cells as u32).map(|c| (c + 1) % cells as u32).collect();
+        let fabric = Fabric::new(net, &TrafficPattern::Permutation(perm.clone())).unwrap();
         assert_eq!(fabric.router().label(), "looping");
         assert!(fabric.delta_routing().is_none());
         for src in 0..cells {
             for terminal in 0..2 {
-                assert!(fabric.route(src, terminal, perm[src as usize]).is_some());
+                let dst = u64::from(perm[src as usize]);
+                assert!(fabric.router().tag(src, terminal, dst).is_some());
             }
         }
     }
@@ -315,7 +262,7 @@ mod tests {
             // A many-to-one pattern is not a permutation.
             TrafficPattern::Permutation(vec![0, 0, 1, 2]),
         ] {
-            let fabric = Fabric::for_traffic(benes(3), &traffic).unwrap();
+            let fabric = Fabric::new(benes(3), &traffic).unwrap();
             assert_eq!(fabric.router().label(), "multi-path", "{traffic:?}");
         }
     }
@@ -330,7 +277,7 @@ mod tests {
         assert!(min_routing::tag::destination_tags(&net).is_none());
         let cells = net.cells_per_stage() as u32;
         let perm: Vec<u32> = (0..cells).map(|c| c ^ 1).collect();
-        match Fabric::for_traffic(net, &TrafficPattern::Permutation(perm)) {
+        match Fabric::new(net, &TrafficPattern::Permutation(perm)) {
             Err(FabricError::NotRearrangeable(_)) => {}
             other => panic!("expected NotRearrangeable, got {other:?}"),
         }

@@ -8,16 +8,17 @@
 //! bit-identical metrics at any thread count, which is what lets the
 //! campaign layer put a fault axis on its grid.
 //!
-//! The runtime half (the compiled fault state behind the [`FaultView`]
-//! handed to the switching cores, and the pair-routing table of
-//! `FaultRuntime`) turns the plan into O(1) per-link queries and
-//! per-(source, destination) routing decisions recomputed only when an
-//! onset boundary is crossed. An empty
-//! plan short-circuits everything: the engine then runs the exact
-//! pre-fault-subsystem code path, byte for byte.
+//! The runtime half turns the plan into O(1) per-link queries (the
+//! [`FaultView`] handed to the switching cores) and, once a dead link or
+//! dead switch is active, a fault-avoiding
+//! [`min_routing::router::MultiPathRouter`] rebuilt only when a severing
+//! onset is crossed. Until then — and for the whole run under a plan of
+//! degraded links alone — the fabric's own router steers packets, so a
+//! plan changes routing only while it actually severs something.
 
 use min_core::ConnectionNetwork;
-use min_routing::disjoint::{path_tag, route_all_to, FaultDigest, FaultRoute};
+use min_routing::disjoint::FaultDigest;
+use min_routing::router::MultiPathRouter;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -147,8 +148,8 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: a fully healthy fabric. The engine detects this and
-    /// runs the exact fault-free code path.
+    /// The empty plan: a fully healthy fabric. The engines build no fault
+    /// runtime for it.
     pub fn none() -> Self {
         FaultPlan::default()
     }
@@ -461,119 +462,88 @@ impl<'a> FaultView<'a> {
     }
 }
 
-/// One cached routing epoch: the pair table and severed count computed from
-/// the fault digest active between two severing onsets.
-#[derive(Debug, Clone)]
-struct EpochTable {
-    /// `pair_tags[src*cells + dst]`: the routing tag of the chosen surviving
-    /// path, or `None` when the pair is severed.
-    pair_tags: Vec<Option<u32>>,
-    /// Number of severed (unroutable) pairs in this epoch.
-    severed_pairs: u64,
-}
-
-/// The engine-side fault machinery: the compiled [`FaultState`] plus the
-/// per-(source, destination) routing tables, computed lazily once per
-/// severing epoch and cached for the runtime's lifetime — a replication
-/// rerun through [`FaultRuntime::rewind`] replays the onset schedule while
-/// reusing every table the disjoint-path router already produced.
+/// The engine-side fault machinery: the compiled [`FaultState`] plus one
+/// fault-avoiding router per severing epoch, built lazily on first entry
+/// and cached for the runtime's lifetime — a replication rerun through
+/// [`FaultRuntime::rewind`] replays the onset schedule while reusing every
+/// table the disjoint-path router already produced.
+///
+/// Epoch 0, the time before the first severing onset, has no table: the
+/// fabric's own router steers packets until a dead link or dead switch is
+/// active, so a plan of degraded links alone never changes routing.
 #[derive(Debug)]
 pub(crate) struct FaultRuntime {
     pub(crate) state: FaultState,
     stages: usize,
-    cells: usize,
-    /// One slot per epoch: before the first severing onset plus one per
-    /// boundary in `state.severing_onsets`. Filled on first entry.
-    epochs: Vec<Option<EpochTable>>,
-    /// Epoch the simulation currently sits in (valid once `initialized`).
+    /// `epochs[k]`: the router around the faults of epoch `k + 1`, the one
+    /// opened by `state.severing_onsets[k]`. Filled on first entry.
+    epochs: Vec<Option<MultiPathRouter>>,
+    /// The epoch the simulation sits in: the number of severing onsets
+    /// crossed so far.
     current: usize,
-    /// Index into `state.severing_onsets` of the next epoch boundary.
-    next_epoch: usize,
-    initialized: bool,
 }
 
 impl FaultRuntime {
     pub(crate) fn new(plan: &FaultPlan, stages: usize, cells: usize) -> Self {
         let state = FaultState::new(plan, stages, cells);
-        let epochs = vec![None; state.severing_onsets.len() + 1];
+        let epochs = vec![None; state.severing_onsets.len()];
         FaultRuntime {
             state,
             stages,
-            cells,
             epochs,
             current: 0,
-            next_epoch: 0,
-            initialized: false,
         }
     }
 
-    /// Enters the epoch containing `cycle`, computing its pair table if this
-    /// is the first time any run has entered it. Cheap no-op when no
-    /// severing onset was crossed.
+    /// Enters the epoch containing `cycle`, building its router if this is
+    /// the first time any run has entered it. Cheap no-op when no severing
+    /// onset was crossed.
     pub(crate) fn advance(&mut self, net: &ConnectionNetwork, cycle: u64) {
-        let mut dirty = !self.initialized;
-        while self.next_epoch < self.state.severing_onsets.len()
-            && self.state.severing_onsets[self.next_epoch] <= cycle
-        {
-            self.next_epoch += 1;
-            dirty = true;
+        let onsets = &self.state.severing_onsets;
+        let before = self.current;
+        while self.current < onsets.len() && onsets[self.current] <= cycle {
+            self.current += 1;
         }
-        if !dirty {
+        if self.current == before {
             return;
         }
-        self.initialized = true;
-        self.current = self.next_epoch;
-        if self.epochs[self.current].is_some() {
-            return;
+        let slot = &mut self.epochs[self.current - 1];
+        if slot.is_none() {
+            let digest = self.state.digest_at(self.stages, onsets[self.current - 1]);
+            *slot = Some(MultiPathRouter::avoiding(net, &digest));
         }
-        let digest = self.state.digest_at(self.stages, cycle);
-        let mut pair_tags = vec![None; self.cells * self.cells];
-        let mut severed_pairs = 0;
-        // Per-destination batch: the routing layer shares the two
-        // reachability tables across all sources of each destination.
-        for dst in 0..self.cells as u64 {
-            for (src, route) in route_all_to(net, dst, &digest).into_iter().enumerate() {
-                match route {
-                    FaultRoute::Routed(path) => {
-                        pair_tags[src * self.cells + dst as usize] = Some(path_tag(&path));
-                    }
-                    FaultRoute::Unroutable => severed_pairs += 1,
-                }
-            }
-        }
-        self.epochs[self.current] = Some(EpochTable {
-            pair_tags,
-            severed_pairs,
-        });
     }
 
-    /// Routing tag for `(src, dst)` under the current epoch's faults;
-    /// `None` when the pair is severed.
-    #[inline]
-    pub(crate) fn pair_tag(&self, src: usize, dst: usize) -> Option<u32> {
-        let epoch = self.epochs[self.current]
-            .as_ref()
-            .expect("advance enters an epoch before any pair query");
-        epoch.pair_tags[src * self.cells + dst]
-    }
-
-    /// Number of severed pairs in the current epoch.
-    pub(crate) fn severed_pairs(&self) -> u64 {
-        if !self.initialized {
-            return 0;
-        }
-        self.epochs[self.current]
-            .as_ref()
-            .map_or(0, |e| e.severed_pairs)
+    /// The router of the current epoch; `None` in epoch 0, where the
+    /// fabric's own router serves.
+    pub(crate) fn router(&self) -> Option<&MultiPathRouter> {
+        self.epochs[self.current.checked_sub(1)?].as_ref()
     }
 
     /// Rewinds to the pre-run state so the next [`FaultRuntime::advance`]
     /// replays the onset schedule from cycle 0 — reusing every cached epoch
-    /// table instead of re-running the disjoint-path router.
+    /// router instead of re-running the disjoint-path router.
     pub(crate) fn rewind(&mut self) {
         self.current = 0;
-        self.next_epoch = 0;
-        self.initialized = false;
+    }
+}
+
+/// Phase 0 of a cycle, shared by both engines: crosses any severing onset
+/// at `cycle` and returns the fault view together with the router of the
+/// active fault epoch — `None` while no dead link or dead switch is active
+/// (or with no plan at all), when the fabric's own router steers packets.
+pub(crate) fn enter_cycle<'a>(
+    faults: &'a mut Option<FaultRuntime>,
+    net: &ConnectionNetwork,
+    cycle: u64,
+) -> (FaultView<'a>, Option<&'a MultiPathRouter>) {
+    match faults {
+        None => (FaultView::healthy(cycle), None),
+        Some(rt) => {
+            rt.advance(net, cycle);
+            let rt: &'a FaultRuntime = rt;
+            (FaultView::at(&rt.state, cycle), rt.router())
+        }
     }
 }
 
@@ -581,6 +551,7 @@ impl FaultRuntime {
 mod tests {
     use super::*;
     use min_networks::omega;
+    use min_routing::router::Router;
 
     #[test]
     fn plans_build_validate_and_label() {
@@ -671,6 +642,15 @@ mod tests {
         assert!(!healthy.cell_dead(0, 1));
     }
 
+    /// The routing tag of every `(src, dst)` pair under the runtime's
+    /// current epoch router.
+    fn epoch_tags(rt: &FaultRuntime, cells: u64) -> Vec<Option<u32>> {
+        let router = rt.router().expect("a severing epoch is active");
+        (0..cells)
+            .flat_map(|s| (0..cells).map(move |d| router.tag(s, 0, d)))
+            .collect()
+    }
+
     #[test]
     fn runtime_reroutes_at_epoch_boundaries() {
         let net = omega(4);
@@ -678,21 +658,22 @@ mod tests {
         let plan = FaultPlan::none().with_dead_link(1, 0, 1, 50);
         let mut rt = FaultRuntime::new(&plan, net.stages(), cells);
         rt.advance(&net, 0);
-        assert_eq!(rt.severed_pairs(), 0);
-        for src in 0..cells {
-            for dst in 0..cells {
-                assert!(rt.pair_tag(src, dst).is_some());
-            }
-        }
+        assert!(
+            rt.router().is_none(),
+            "epoch 0 leaves routing to the fabric"
+        );
+        rt.advance(&net, 49);
+        assert!(rt.router().is_none());
         // Crossing the onset severs exactly cells/2 pairs (one link of a
         // Banyan fabric always carries cells/2 pairs).
         rt.advance(&net, 50);
-        assert_eq!(rt.severed_pairs(), cells as u64 / 2);
-        let severed = (0..cells)
-            .flat_map(|s| (0..cells).map(move |d| (s, d)))
-            .filter(|&(s, d)| rt.pair_tag(s, d).is_none())
+        let router = rt.router().expect("the dead link opens an epoch");
+        assert_eq!(router.severed_pairs(), cells as u64 / 2);
+        let severed = epoch_tags(&rt, cells as u64)
+            .iter()
+            .filter(|tag| tag.is_none())
             .count() as u64;
-        assert_eq!(severed, rt.severed_pairs());
+        assert_eq!(severed, router.severed_pairs());
     }
 
     #[test]
@@ -703,24 +684,35 @@ mod tests {
         let mut rt = FaultRuntime::new(&plan, net.stages(), cells);
         rt.advance(&net, 0);
         rt.advance(&net, 50);
-        let severed = rt.severed_pairs();
-        assert_eq!(severed, cells as u64 / 2);
-        let tags_after: Vec<_> = (0..cells)
-            .flat_map(|s| (0..cells).map(move |d| (s, d)))
-            .map(|(s, d)| rt.pair_tag(s, d))
-            .collect();
+        let tags_after = epoch_tags(&rt, cells as u64);
         rt.rewind();
-        assert_eq!(rt.severed_pairs(), 0, "pre-run state severs nothing");
+        assert!(rt.router().is_none(), "pre-run state severs nothing");
         rt.advance(&net, 0);
-        assert_eq!(rt.severed_pairs(), 0);
-        assert!((0..cells).all(|s| (0..cells).all(|d| rt.pair_tag(s, d).is_some())));
+        assert!(rt.router().is_none());
         rt.advance(&net, 50);
-        assert_eq!(rt.severed_pairs(), severed);
-        let replayed: Vec<_> = (0..cells)
-            .flat_map(|s| (0..cells).map(move |d| (s, d)))
-            .map(|(s, d)| rt.pair_tag(s, d))
-            .collect();
-        assert_eq!(replayed, tags_after, "cached epochs replay identically");
+        assert_eq!(
+            epoch_tags(&rt, cells as u64),
+            tags_after,
+            "cached epochs replay identically"
+        );
+    }
+
+    #[test]
+    fn degraded_links_alone_never_open_a_routing_epoch() {
+        let net = omega(4);
+        let plan = FaultPlan::none()
+            .with_degraded_link(0, 1, 0, 0)
+            .with_degraded_link(1, 2, 1, 30);
+        let mut faults = Some(FaultRuntime::new(
+            &plan,
+            net.stages(),
+            net.cells_per_stage(),
+        ));
+        for cycle in 0..100 {
+            let (view, router) = enter_cycle(&mut faults, &net, cycle);
+            assert!(view.any_active());
+            assert!(router.is_none(), "cycle {cycle}");
+        }
     }
 
     #[test]
@@ -730,12 +722,11 @@ mod tests {
         let plan = FaultPlan::none().with_dead_switch(0, 1, 0);
         let mut rt = FaultRuntime::new(&plan, net.stages(), cells);
         rt.advance(&net, 0);
-        for dst in 0..cells {
-            assert!(rt.pair_tag(1, dst).is_none(), "dead source cell");
+        let router = rt.router().expect("the dead switch is active from 0");
+        for dst in 0..cells as u64 {
+            assert!(router.tag(1, 0, dst).is_none(), "dead source cell");
+            assert!(router.tag(0, 0, dst).is_some(), "healthy source survives");
         }
-        for dst in 0..cells {
-            assert!(rt.pair_tag(0, dst).is_some(), "healthy source survives");
-        }
-        assert_eq!(rt.severed_pairs(), cells as u64);
+        assert_eq!(router.severed_pairs(), cells as u64);
     }
 }

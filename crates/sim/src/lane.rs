@@ -48,13 +48,14 @@
 //! oracle pins the two paths byte-identical.
 
 use crate::batch::LANE_MAX_STAGES;
-use crate::config::{BufferMode, ConfigError, SimConfig};
-use crate::engine::SimError;
-use crate::fabric::Fabric;
-use crate::fault::{FaultRuntime, FaultView, LinkStatus};
+use crate::config::{BufferMode, SimConfig};
+use crate::engine::{Setup, SimError};
+use crate::fabric::{Fabric, FabricError};
+use crate::fault::{enter_cycle, FaultRuntime, FaultView, LinkStatus};
 use crate::metrics::Metrics;
 use crate::traffic::{DestSampler, TrafficPattern};
 use min_core::ConnectionNetwork;
+use min_routing::router::{MultiPathRouter, Router};
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -119,9 +120,10 @@ impl InjectCtx<'_> {
     /// in the scalar (cell ascending, terminal) order on its own stream,
     /// while one cell's two slot words and tag planes stay hot across all
     /// replications instead of re-walking the whole stage-0 region once per
-    /// replication. `dest_tag` resolves one accepted offer to its routing
-    /// tag (`None` when the fault plan leaves the pair unroutable).
-    fn run<F: FnMut(u32, &mut ChaCha8Rng) -> Option<u32>>(self, mut dest_tag: F) {
+    /// replication. `dest_tag` resolves one accepted offer from `(cell,
+    /// terminal)` to its routing tag (`None` when the fault plan leaves the
+    /// pair unroutable).
+    fn run<F: FnMut(u32, usize, &mut ChaCha8Rng) -> Option<u32>>(self, mut dest_tag: F) {
         let InjectCtx {
             cells,
             lanes,
@@ -146,12 +148,12 @@ impl InjectCtx<'_> {
             let mut slot_tags = [[0u64; LANE_MAX_STAGES]; 2];
             for (r, rng) in rngs.iter_mut().enumerate().take(lanes) {
                 let bit = 1u64 << r;
-                for _terminal in 0..2 {
+                for terminal in 0..2 {
                     if !rng.gen_bool(load) {
                         continue;
                     }
                     new_offered[r] += 1;
-                    let Some(packet_tag) = dest_tag(cell as u32, rng) else {
+                    let Some(packet_tag) = dest_tag(cell as u32, terminal, rng) else {
                         new_unroutable[r] += 1;
                         continue;
                     };
@@ -211,6 +213,8 @@ pub struct LaneEngine {
     /// Destination sampler of the traffic pattern, shared with the scalar
     /// engine's draw path so both stay bit-identical.
     sampler: DestSampler,
+    /// `delta[d]`: the fabric's destination tag for cell `d`.
+    delta: Vec<u32>,
     /// Queue occupancy, one word per slot: slot `(stage*cells + cell)*2 + q`
     /// holds position `q` (0 = front) of that cell's two-packet queue; bit
     /// `r` is set when replication `r` has a packet there.
@@ -245,6 +249,9 @@ pub struct LaneEngine {
 impl LaneEngine {
     /// Builds a packed engine for `seeds.len()` replications of the given
     /// unbuffered scenario (one seed per replication, in output order).
+    /// The setup and its typed errors are the scalar engine's, plus
+    /// [`FabricError::NotDelta`] for a network without a destination-tag
+    /// table.
     ///
     /// # Panics
     ///
@@ -269,24 +276,16 @@ impl LaneEngine {
             "1..={LANE_WIDTH} replications per word, got {}",
             seeds.len()
         );
-        config.validate()?;
-        let fabric = Fabric::new(net)?;
-        config
-            .traffic
-            .validate_for(fabric.cells() as u32)
-            .map_err(ConfigError::from)?;
-        let faults = if config.fault_plan.is_empty() {
-            None
-        } else {
-            config
-                .fault_plan
-                .validate(fabric.stages(), fabric.cells())?;
-            Some(FaultRuntime::new(
-                &config.fault_plan,
-                fabric.stages(),
-                fabric.cells(),
-            ))
-        };
+        let Setup {
+            fabric,
+            sampler,
+            faults,
+        } = Setup::new(net, &config)?;
+        let delta = fabric
+            .delta_routing()
+            .ok_or(FabricError::NotDelta)?
+            .tag_of_destination
+            .clone();
         let stages = fabric.stages();
         assert!(
             stages <= LANE_MAX_STAGES,
@@ -294,9 +293,6 @@ impl LaneEngine {
         );
         let cells = fabric.cells();
         let conn_bits = stages - 1;
-        let sampler = config
-            .traffic
-            .sampler(cells as u32, fabric.network().width());
         let slots = stages * cells * 2;
         let mut next = Vec::with_capacity((stages - 1) * cells * 2);
         for stage in 0..stages - 1 {
@@ -319,6 +315,7 @@ impl LaneEngine {
             cells,
             conn_bits,
             sampler,
+            delta,
             occ: vec![0; slots],
             tag: vec![0; slots * conn_bits],
             next,
@@ -533,13 +530,14 @@ impl LaneEngine {
     /// words and tag planes are rebuilt from scratch (so the flush
     /// overwrites last cycle's stage-0 state with no separate clearing
     /// pass). The destination-to-tag resolution is monomorphized per
-    /// traffic pattern and fault state, so the per-packet path carries no
-    /// dispatch.
-    fn inject(&mut self, faults: Option<&FaultRuntime>) {
+    /// traffic pattern and fault epoch, so the per-packet path carries no
+    /// dispatch: the delta table outside a severing epoch, the epoch's
+    /// fault-avoiding router inside one.
+    fn inject(&mut self, epoch: Option<&MultiPathRouter>) {
         let load = self.config.offered_load;
         let cells = self.cells as u32;
         debug_assert!(self.occ[..self.cells * 2].iter().all(|&w| w == 0));
-        let fabric = &self.fabric;
+        let delta = self.delta.as_slice();
         let sampler = &self.sampler;
         let ctx = InjectCtx {
             cells: self.cells,
@@ -553,35 +551,31 @@ impl LaneEngine {
             injected: &mut self.injected,
             unroutable: &mut self.unroutable,
         };
-        match (&self.config.traffic, faults) {
+        match (&self.config.traffic, epoch) {
             (TrafficPattern::Uniform, None) => {
-                ctx.run(|_cell, rng| Some(fabric.tag_for(rng.gen_range(0..cells))))
+                ctx.run(|_cell, _terminal, rng| Some(delta[rng.gen_range(0..cells) as usize]))
             }
-            (_, None) => ctx.run(|cell, rng| Some(fabric.tag_for(sampler.draw(cell, rng)))),
-            (_, Some(rt)) => ctx.run(|cell, rng| {
+            (_, None) => {
+                ctx.run(|cell, _terminal, rng| Some(delta[sampler.draw(cell, rng) as usize]))
+            }
+            (_, Some(router)) => ctx.run(|cell, terminal, rng| {
                 let destination = sampler.draw(cell, rng);
-                rt.pair_tag(cell as usize, destination as usize)
+                router.tag(u64::from(cell), terminal, u64::from(destination))
             }),
         }
     }
 
     /// Runs one cycle for every replication.
     fn step(&mut self) {
-        // Phase 0: cross any fault-onset boundary (shared by every
-        // replication — the schedule is seed-independent).
-        let mut rt = self.faults.take();
-        if let Some(rt) = rt.as_mut() {
-            rt.advance(self.fabric.network(), self.cycle);
-        }
-        let view = match rt.as_ref() {
-            Some(rt) => FaultView::at(&rt.state, self.cycle),
-            None => FaultView::healthy(self.cycle),
-        };
+        // Phase 0: cross any severing onset (shared by every replication —
+        // the schedule is seed-independent).
+        let mut faults = self.faults.take();
+        let (view, epoch) = enter_cycle(&mut faults, self.fabric.network(), self.cycle);
 
         self.deliver(&view);
         self.switch(&view);
-        self.inject(rt.as_ref());
-        self.faults = rt;
+        self.inject(epoch);
+        self.faults = faults;
 
         self.cycle += 1;
     }
@@ -782,6 +776,24 @@ mod tests {
             );
             assert_eq!(m.misrouted, 0);
         }
+    }
+
+    #[test]
+    fn non_delta_networks_are_rejected() {
+        let table: [u64; 4] = [0, 1, 3, 2];
+        let weird = min_core::Connection::from_fn(
+            2,
+            move |x| table[x as usize],
+            move |x| table[x as usize] ^ 2,
+        );
+        let second = min_core::Connection::from_fn(2, |x| x >> 1, |x| (x >> 1) | 2);
+        let net = ConnectionNetwork::new(2, vec![weird, second]);
+        // The scalar engine drives it through the multi-path router.
+        assert!(Simulator::new(net.clone(), SimConfig::default()).is_ok());
+        assert_eq!(
+            LaneEngine::new(net, SimConfig::default(), &[1]).unwrap_err(),
+            SimError::Fabric(FabricError::NotDelta)
+        );
     }
 
     #[test]

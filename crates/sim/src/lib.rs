@@ -15,9 +15,10 @@
 //!   **buffered** (per-cell FIFOs with backpressure) and **wormhole**
 //!   (multi-lane virtual channels: packets split into flits, lanes
 //!   allocated per worm and held across stages while blocked);
-//! * destination-tag routing using the self-routing tables of `min-routing`
-//!   (the simulator therefore requires a delta network, which every
-//!   PIPID-built network is);
+//! * tag routing through one `min-routing` router per scenario: the
+//!   self-routing table of a delta network (which every PIPID-built network
+//!   is), the looping algorithm's circuits for a full permutation on a
+//!   rearrangeable fabric, or link-disjoint multi-path tags otherwise;
 //! * traffic generators ([`traffic`]) — Bernoulli uniform, hot-spot, fixed
 //!   permutation and bit-reversal, plus the production-shaped suite:
 //!   Zipf-skewed destinations (precomputed-CDF sampling), bursty

@@ -381,67 +381,17 @@ impl TrafficPattern {
         }
     }
 
-    /// Draws a destination for a packet injected at `source`, given `cells`
-    /// cells per stage and `width_bits = log2(cells)`.
-    ///
-    /// The pattern must be valid for the fabric
-    /// ([`TrafficPattern::validate_for`]); the engines guarantee this by
-    /// validating at construction. For [`TrafficPattern::Zipf`] this
-    /// rebuilds the CDF per call — engines draw through
-    /// [`TrafficPattern::sampler`] instead, which precomputes it once (the
-    /// draws themselves are bit-identical either way).
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`TrafficPattern::Trace`]: trace destinations come from
-    /// the recorded schedule via [`TrafficSources::offer`], never from a
-    /// distribution draw. The engines never call this for a trace.
-    pub fn destination<R: Rng>(
-        &self,
-        source: u32,
-        cells: u32,
-        width_bits: usize,
-        rng: &mut R,
-    ) -> u32 {
-        match self {
-            TrafficPattern::Uniform | TrafficPattern::OnOff { .. } => rng.gen_range(0..cells),
-            TrafficPattern::Hotspot { fraction, target } => {
-                // `fraction` is validated finite and in [0, 1] up front, so
-                // no clamp runs here (a clamp would silently launder a NaN
-                // into the RNG's range assertion).
-                if rng.gen_bool(*fraction) {
-                    *target
-                } else {
-                    rng.gen_range(0..cells)
-                }
-            }
-            TrafficPattern::Permutation(dest) => dest[source as usize],
-            TrafficPattern::BitReversal => {
-                let mut r = 0u32;
-                for k in 0..width_bits {
-                    r |= ((source >> k) & 1) << (width_bits - 1 - k);
-                }
-                r
-            }
-            TrafficPattern::Zipf { exponent } => ZipfCdf::new(cells, *exponent).sample(rng),
-            TrafficPattern::Trace(_) => {
-                panic!("trace destinations are replayed via TrafficSources::offer, not drawn")
-            }
-        }
-    }
-
-    /// Builds the destination sampler the engines draw through: a
-    /// precomputed [`ZipfCdf`] for [`TrafficPattern::Zipf`], a delegate to
-    /// [`TrafficPattern::destination`] for every other pattern. The sampler
-    /// draws bit-identically to `destination`, so the scalar and packed
-    /// engines share one stream shape.
+    /// Builds the destination sampler the engines draw through, for a
+    /// fabric of `cells` cells per stage and `width_bits = log2(cells)`.
+    /// A [`TrafficPattern::Zipf`] CDF is precomputed here, once.
     pub fn sampler(&self, cells: u32, width_bits: usize) -> DestSampler {
-        let kind = match self {
-            TrafficPattern::Zipf { exponent } => SamplerKind::Zipf(ZipfCdf::new(cells, *exponent)),
-            other => SamplerKind::Pattern(other.clone()),
+        let zipf = match self {
+            TrafficPattern::Zipf { exponent } => Some(ZipfCdf::new(cells, *exponent)),
+            _ => None,
         };
         DestSampler {
-            kind,
+            pattern: self.clone(),
+            zipf,
             cells,
             width_bits,
         }
@@ -498,34 +448,62 @@ impl ZipfCdf {
     }
 }
 
-/// How a traffic pattern resolves destinations inside the engines: either a
-/// delegate to the pattern's own draw or a precomputed [`ZipfCdf`].
+/// How a traffic pattern draws destinations inside the engines.
 ///
 /// Built once per simulator via [`TrafficPattern::sampler`]; both the
 /// scalar and the word-packed engine draw through it, which is what keeps
-/// Zipf scenarios bit-identical across the two paths.
+/// every pattern bit-identical across the two paths.
 #[derive(Debug, Clone)]
 pub struct DestSampler {
-    kind: SamplerKind,
+    pattern: TrafficPattern,
+    /// The precomputed CDF, present exactly for [`TrafficPattern::Zipf`].
+    zipf: Option<ZipfCdf>,
     cells: u32,
     width_bits: usize,
 }
 
-#[derive(Debug, Clone)]
-enum SamplerKind {
-    Pattern(TrafficPattern),
-    Zipf(ZipfCdf),
-}
-
 impl DestSampler {
     /// Draws a destination for a packet injected at `source`.
+    ///
+    /// The pattern must be valid for the fabric
+    /// ([`TrafficPattern::validate_for`]); the engines guarantee this by
+    /// validating at construction.
+    ///
+    /// # Panics
+    ///
+    /// Panics for [`TrafficPattern::Trace`]: trace destinations come from
+    /// the recorded schedule via [`TrafficSources::offer`], never from a
+    /// distribution draw. The engines never draw for a trace.
     #[inline]
     pub fn draw<R: Rng>(&self, source: u32, rng: &mut R) -> u32 {
-        match &self.kind {
-            SamplerKind::Pattern(pattern) => {
-                pattern.destination(source, self.cells, self.width_bits, rng)
+        match &self.pattern {
+            TrafficPattern::Uniform | TrafficPattern::OnOff { .. } => rng.gen_range(0..self.cells),
+            TrafficPattern::Hotspot { fraction, target } => {
+                // `fraction` is validated finite and in [0, 1] up front, so
+                // no clamp runs here (a clamp would silently launder a NaN
+                // into the RNG's range assertion).
+                if rng.gen_bool(*fraction) {
+                    *target
+                } else {
+                    rng.gen_range(0..self.cells)
+                }
             }
-            SamplerKind::Zipf(cdf) => cdf.sample(rng),
+            TrafficPattern::Permutation(dest) => dest[source as usize],
+            TrafficPattern::BitReversal => {
+                let mut r = 0u32;
+                for k in 0..self.width_bits {
+                    r |= ((source >> k) & 1) << (self.width_bits - 1 - k);
+                }
+                r
+            }
+            TrafficPattern::Zipf { .. } => self
+                .zipf
+                .as_ref()
+                .expect("sampler() precomputes the Zipf CDF")
+                .sample(rng),
+            TrafficPattern::Trace(_) => {
+                panic!("trace destinations are replayed via TrafficSources::offer, not drawn")
+            }
         }
     }
 }
@@ -912,8 +890,9 @@ mod tests {
     fn uniform_covers_all_destinations() {
         let mut rng = ChaCha8Rng::seed_from_u64(211);
         let mut seen = [false; 8];
+        let sampler = TrafficPattern::Uniform.sampler(8, 3);
         for _ in 0..500 {
-            let d = TrafficPattern::Uniform.destination(0, 8, 3, &mut rng);
+            let d = sampler.draw(0, &mut rng);
             seen[d as usize] = true;
         }
         assert!(seen.iter().all(|&b| b));
@@ -926,8 +905,9 @@ mod tests {
             fraction: 0.5,
             target: 3,
         };
+        let sampler = pattern.sampler(8, 3);
         let hits = (0..2_000)
-            .filter(|_| pattern.destination(1, 8, 3, &mut rng) == 3)
+            .filter(|_| sampler.draw(1, &mut rng) == 3)
             .count();
         // 50% direct + 1/8 of the uniform remainder ≈ 56%.
         assert!(hits > 800 && hits < 1500, "hits = {hits}");
@@ -936,18 +916,18 @@ mod tests {
     #[test]
     fn permutation_is_deterministic() {
         let mut rng = ChaCha8Rng::seed_from_u64(227);
-        let pattern = TrafficPattern::Permutation(vec![3, 2, 1, 0]);
+        let sampler = TrafficPattern::Permutation(vec![3, 2, 1, 0]).sampler(4, 2);
         for s in 0..4u32 {
-            assert_eq!(pattern.destination(s, 4, 2, &mut rng), 3 - s);
+            assert_eq!(sampler.draw(s, &mut rng), 3 - s);
         }
     }
 
     #[test]
     fn bit_reversal_reverses() {
         let mut rng = ChaCha8Rng::seed_from_u64(229);
-        let pattern = TrafficPattern::BitReversal;
-        assert_eq!(pattern.destination(0b001, 8, 3, &mut rng), 0b100);
-        assert_eq!(pattern.destination(0b110, 8, 3, &mut rng), 0b011);
+        let sampler = TrafficPattern::BitReversal.sampler(8, 3);
+        assert_eq!(sampler.draw(0b001, &mut rng), 0b100);
+        assert_eq!(sampler.draw(0b110, &mut rng), 0b011);
     }
 
     #[test]
@@ -1313,35 +1293,5 @@ mod tests {
             dup.validate(),
             Err(TrafficError::TraceUnsorted { record: 1 })
         ));
-    }
-
-    #[test]
-    fn sampler_draws_match_destination_draws() {
-        // The sampler must consume the RNG exactly like the compat path so
-        // engines can migrate to it without moving any stream.
-        let patterns = [
-            TrafficPattern::Uniform,
-            TrafficPattern::Hotspot {
-                fraction: 0.3,
-                target: 5,
-            },
-            TrafficPattern::BitReversal,
-            TrafficPattern::Zipf { exponent: 0.9 },
-        ];
-        for pattern in patterns {
-            let sampler = pattern.sampler(8, 3);
-            let mut a = ChaCha8Rng::seed_from_u64(269);
-            let mut b = ChaCha8Rng::seed_from_u64(269);
-            for source in 0..8u32 {
-                for _ in 0..64 {
-                    assert_eq!(
-                        sampler.draw(source, &mut a),
-                        pattern.destination(source, 8, 3, &mut b),
-                        "{pattern:?}"
-                    );
-                }
-            }
-            assert_eq!(a.next_u64(), b.next_u64(), "stream alignment {pattern:?}");
-        }
     }
 }

@@ -19,6 +19,7 @@ use std::collections::VecDeque;
 /// `(stage, cell)`, with the original three-phase cycle.
 struct ReferenceSimulator {
     fabric: min_sim::fabric::Fabric,
+    sampler: min_sim::DestSampler,
     config: SimConfig,
     rng: ChaCha8Rng,
     queues: Vec<Vec<VecDeque<min_sim::Packet>>>,
@@ -29,12 +30,16 @@ struct ReferenceSimulator {
 
 impl ReferenceSimulator {
     fn new(net: min_core::ConnectionNetwork, config: SimConfig) -> Self {
-        let fabric = min_sim::fabric::Fabric::new(net).expect("delta network");
+        let fabric = min_sim::fabric::Fabric::new(net, &config.traffic).expect("2-regular network");
         let stages = fabric.stages();
         let cells = fabric.cells();
+        let sampler = config
+            .traffic
+            .sampler(cells as u32, fabric.network().width());
         let rng = ChaCha8Rng::seed_from_u64(config.seed);
         ReferenceSimulator {
             fabric,
+            sampler,
             config,
             rng,
             queues: vec![vec![VecDeque::new(); cells]; stages],
@@ -126,7 +131,11 @@ impl ReferenceSimulator {
             }
         }
 
-        let width_bits = self.fabric.network().width();
+        let tags = &self
+            .fabric
+            .delta_routing()
+            .expect("delta network")
+            .tag_of_destination;
         for cell in 0..cells {
             for _terminal in 0..2 {
                 if !self.rng.gen_bool(self.config.offered_load) {
@@ -136,17 +145,12 @@ impl ReferenceSimulator {
                 if self.queues[0][cell].len() >= capacity {
                     continue;
                 }
-                let destination = self.config.traffic.destination(
-                    cell as u32,
-                    cells as u32,
-                    width_bits,
-                    &mut self.rng,
-                );
+                let destination = self.sampler.draw(cell as u32, &mut self.rng);
                 let packet = min_sim::Packet {
                     id: self.next_packet_id,
                     source: cell as u32,
                     destination,
-                    tag: self.fabric.tag_for(destination),
+                    tag: tags[destination as usize],
                     injected_at: self.cycle,
                 };
                 self.next_packet_id += 1;

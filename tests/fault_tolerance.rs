@@ -2,11 +2,13 @@
 //!
 //! Three layers are pinned against each other:
 //!
-//! 1. **Oracle pin** — for every catalog cell at n = 3..=5 and every buffer
-//!    architecture, a fault-free (dormant) `FaultPlan` exercises the whole
-//!    fault machinery yet must reproduce today's engine results bit for
-//!    bit; and a single-link fault must never *increase* the delivered
-//!    packet count.
+//! 1. **Oracle pin** — for every catalog cell at n = 3..=5, the Benes
+//!    fabrics and their variants at n = 3..=4 (under permutation and
+//!    uniform traffic), and every buffer architecture, a dormant
+//!    `FaultPlan` exercises the fault machinery yet must reproduce the
+//!    no-plan engine bit for bit — for the whole run, or cycle for cycle
+//!    up to the first onset; and a single-link fault must never *increase*
+//!    the delivered packet count.
 //! 2. **Routing vs. graph differential** — for random fault plans, the
 //!    fault-aware router (`min-routing::disjoint::route_around`) must agree
 //!    pair-by-pair with raw reachability on the damaged MI-digraph
@@ -89,26 +91,91 @@ fn digest_of(plan: &FaultPlan, stages: usize, cells: usize) -> FaultDigest {
     digest
 }
 
+/// A plan of every fault kind, none of which strikes before `onset`.
+fn dormant_plan(stages: usize, onset: u64) -> FaultPlan {
+    FaultPlan::none()
+        .with_dead_link(1, 0, 1, onset)
+        .with_dead_switch(stages - 1, 0, onset)
+        .with_degraded_link(0, 1, 0, onset)
+}
+
+/// The rearrangeable fabrics, under the two traffic patterns that pick
+/// their two non-delta routers: a full cell permutation (looping) and
+/// uniform traffic (multi-path).
+fn rearrangeable_cases() -> Vec<(NetworkSpec, TrafficPattern)> {
+    let mut cases = Vec::new();
+    for n in 3..=4 {
+        for spec in [NetworkSpec::benes(n), NetworkSpec::benes_variant(n)] {
+            let cells = spec.cells_per_stage() as u32;
+            let shift = (0..cells).map(|c| (c + 3) % cells).collect();
+            cases.push((spec, TrafficPattern::Permutation(shift)));
+            cases.push((spec, TrafficPattern::Uniform));
+        }
+    }
+    cases
+}
+
 #[test]
 fn dormant_fault_plans_reproduce_the_engine_bit_for_bit_across_the_catalog() {
-    // The dormant plan (every onset beyond the run) builds the runtime, the
-    // pair-routing table and the per-cycle views — and must change nothing.
+    // The dormant plan (every onset beyond the run) builds the runtime and
+    // the per-cycle views — and must change nothing: the fabric's own
+    // router (delta, looping or multi-path) keeps steering every packet.
+    let mut cases: Vec<(NetworkSpec, TrafficPattern)> = Vec::new();
     for n in 3..=5usize {
-        let dormant = FaultPlan::none()
-            .with_dead_link(1, 0, 1, 1_000_000)
-            .with_dead_switch(n - 1, 0, 1_000_000)
-            .with_degraded_link(0, 1, 0, 1_000_000);
         for kind in ClassicalNetwork::ALL {
-            for mode in modes() {
-                let cfg = base_config(mode);
-                let clean = simulate(kind.build(n), cfg.clone()).unwrap();
-                let pinned =
-                    simulate(kind.build(n), cfg.clone().with_faults(FaultPlan::none())).unwrap();
-                let dormant_run =
-                    simulate(kind.build(n), cfg.with_faults(dormant.clone())).unwrap();
-                assert_eq!(clean, pinned, "{kind} n={n} {mode:?}: empty plan");
-                assert_eq!(clean, dormant_run, "{kind} n={n} {mode:?}: dormant plan");
+            cases.push((NetworkSpec::catalog(kind, n), TrafficPattern::Uniform));
+        }
+    }
+    cases.extend(rearrangeable_cases());
+    for (spec, traffic) in cases {
+        let dormant = dormant_plan(spec.stages(), 1_000_000);
+        for mode in modes() {
+            let cfg = base_config(mode).with_traffic(traffic.clone());
+            let label = format!("{spec:?} {} {mode:?}", traffic.label());
+            let clean = simulate(spec.build(), cfg.clone()).unwrap();
+            let pinned =
+                simulate(spec.build(), cfg.clone().with_faults(FaultPlan::none())).unwrap();
+            let dormant_run = simulate(spec.build(), cfg.with_faults(dormant.clone())).unwrap();
+            assert_eq!(clean, pinned, "{label}: empty plan");
+            assert_eq!(clean, dormant_run, "{label}: dormant plan");
+        }
+    }
+}
+
+#[test]
+fn a_fault_plan_changes_nothing_before_its_first_onset() {
+    // Cycle for cycle, a run whose faults strike at `onset` matches the
+    // no-plan run up to the onset; from there on the faults take effect.
+    let onset = 150;
+    let mut cases = vec![(
+        NetworkSpec::catalog(ClassicalNetwork::Omega, 4),
+        TrafficPattern::Uniform,
+    )];
+    cases.extend(rearrangeable_cases());
+    for (spec, traffic) in cases {
+        for mode in modes() {
+            let cfg = base_config(mode).with_traffic(traffic.clone());
+            let label = format!("{spec:?} {} {mode:?}", traffic.label());
+            let mut clean = Simulator::new(spec.build(), cfg.clone()).unwrap();
+            let mut faulty = Simulator::new(
+                spec.build(),
+                cfg.clone().with_faults(dormant_plan(spec.stages(), onset)),
+            )
+            .unwrap();
+            for cycle in 0..onset {
+                clean.step();
+                faulty.step();
+                assert_eq!(clean.metrics(), faulty.metrics(), "{label}: cycle {cycle}");
             }
+            for _ in onset..cfg.cycles {
+                clean.step();
+                faulty.step();
+            }
+            assert_ne!(
+                clean.metrics(),
+                faulty.metrics(),
+                "{label}: the faults strike"
+            );
         }
     }
 }
