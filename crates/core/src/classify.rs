@@ -80,6 +80,63 @@ pub fn derive_seed(campaign_seed: u64, index: usize) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Maps `f` over `items` on `threads` scoped worker threads (`0` = one per
+/// available core, and never more workers than items) and returns the
+/// outputs in item order, whatever the scheduling.
+///
+/// Workers pull indices from a shared atomic cursor. Each starts from its
+/// own `init()` state, which `f` may use as a per-worker cache; the
+/// outputs must not depend on it, or they would depend on the schedule.
+/// Both campaign kinds — this module's classification and `min-sim`'s
+/// scenario campaigns — run on it.
+///
+/// # Panics
+///
+/// Panics if `f` panics on any item.
+pub fn ordered_parallel_map<T, S, R>(
+    items: &[T],
+    threads: usize,
+    init: impl Fn() -> S + Sync,
+    f: impl Fn(&mut S, &T) -> R + Sync,
+) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+{
+    let requested = if threads == 0 {
+        thread::available_parallelism().map_or(1, usize::from)
+    } else {
+        threads
+    };
+    let workers = requested.clamp(1, items.len().max(1));
+    let cursor = AtomicUsize::new(0);
+    let mut collected: Vec<(usize, R)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut state = init();
+                    let mut local = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(i) else {
+                            break;
+                        };
+                        local.push((i, f(&mut state, item)));
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("parallel map worker panicked"))
+            .collect()
+    });
+    // Every index was claimed exactly once, so sorting restores item order.
+    collected.sort_unstable_by_key(|&(i, _)| i);
+    collected.into_iter().map(|(_, r)| r).collect()
+}
+
 /// One network to classify: descriptive metadata plus a deterministic
 /// builder.
 ///
@@ -380,9 +437,9 @@ fn classify_one(subject: &Subject) -> Outcome {
 /// Runs the campaign across `threads` scoped worker threads (`0` = one
 /// worker per available core).
 ///
-/// Workers pull subject indices from a shared atomic cursor and outcomes
-/// land in index order, so the report is independent of the thread count;
-/// the class-assembly and cross-verification passes are sequential.
+/// Subjects are classified by [`ordered_parallel_map`], so outcomes land in
+/// index order and the report is independent of the thread count; the
+/// class-assembly and cross-verification passes are sequential.
 pub fn classify_subjects(
     subjects: &[Subject],
     threads: usize,
@@ -390,41 +447,7 @@ pub fn classify_subjects(
     if subjects.is_empty() {
         return Err(ClassifyError::NoSubjects);
     }
-    let workers = effective_threads(threads, subjects.len());
-
-    let cursor = AtomicUsize::new(0);
-    let collected: Vec<(usize, Outcome)> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(subject) = subjects.get(i) else {
-                            break;
-                        };
-                        local.push((i, classify_one(subject)));
-                    }
-                    local
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("classification worker panicked"))
-            .collect()
-    });
-
-    let mut slots: Vec<Option<Outcome>> = Vec::with_capacity(subjects.len());
-    slots.resize_with(subjects.len(), || None);
-    for (i, outcome) in collected {
-        slots[i] = Some(outcome);
-    }
-    let outcomes: Vec<Outcome> = slots
-        .into_iter()
-        .map(|slot| slot.expect("every subject index was claimed exactly once"))
-        .collect();
+    let outcomes = ordered_parallel_map(subjects, threads, || (), |_, s| classify_one(s));
 
     // Assemble classes in order of first appearance of their key.
     let mut classes: Vec<EquivalenceClass> = Vec::new();
@@ -497,17 +520,6 @@ pub fn classify_subjects(
         subjects: results,
         classes,
     })
-}
-
-/// Resolves the worker count: `0` means one per available core, and there
-/// is never a point in more workers than subjects.
-fn effective_threads(requested: usize, subjects: usize) -> usize {
-    let requested = if requested == 0 {
-        thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        requested
-    };
-    requested.clamp(1, subjects.max(1))
 }
 
 #[cfg(test)]

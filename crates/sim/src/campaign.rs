@@ -72,8 +72,6 @@ use crate::traffic::{TrafficError, TrafficPattern};
 use min_networks::{catalog_grid, ClassicalNetwork, NetworkSpec};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 
 /// Declarative description of a simulation campaign.
 ///
@@ -1064,8 +1062,9 @@ pub fn assemble(
 /// `threads` scoped worker threads (`0` = one worker per available core).
 ///
 /// Workers pull whole shards — grid points of `replications` consecutive
-/// scenarios that differ only in their derived seed — from a shared atomic
-/// cursor; the batch layer builds the fabric tables, switch arenas and
+/// scenarios that differ only in their derived seed — through
+/// [`min_core::classify::ordered_parallel_map`], each keeping its own
+/// diversity cache; the batch layer builds the fabric tables, switch arenas and
 /// fault machinery once per grid point (and eligible unbuffered blocks go
 /// through the bit-parallel [`crate::lane::LaneEngine`]). Results are
 /// slotted by canonical index regardless of which worker ran them, keeping
@@ -1077,57 +1076,19 @@ pub fn run_campaign(
     threads: usize,
 ) -> Result<CampaignReport, CampaignError> {
     let plan = config.plan()?;
-    let shards = &plan.shards;
-    let workers = effective_threads(threads, shards.len());
-
-    let cursor = AtomicUsize::new(0);
-    let collected: Vec<(usize, Result<Vec<ScenarioResult>, CampaignError>)> =
-        thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let shards = &shards;
-                    scope.spawn(move || {
-                        let mut diversity = DiversityMap::new();
-                        let mut local = Vec::new();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            if g >= shards.len() {
-                                break;
-                            }
-                            let result = execute_shard_with(config, &shards[g], &mut diversity);
-                            local.push((g, result));
-                        }
-                        local
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("campaign worker panicked"))
-                .collect()
-        });
-
+    let per_shard = min_core::classify::ordered_parallel_map(
+        &plan.shards,
+        threads,
+        DiversityMap::new,
+        |diversity, shard| execute_shard_with(config, shard, diversity),
+    );
     // Surface errors in shard order so a failing campaign reports the same
     // (lowest-index) scenario at any thread count.
-    let mut collected = collected;
-    collected.sort_by_key(|(g, _)| *g);
     let mut results = Vec::with_capacity(plan.scenario_count());
-    for (_, shard_results) in collected {
+    for shard_results in per_shard {
         results.extend(shard_results?);
     }
     Ok(assemble(config, results)?)
-}
-
-/// Resolves the worker count: `0` means one per available core, and there is
-/// never a point in more workers than grid points.
-fn effective_threads(requested: usize, grid_points: usize) -> usize {
-    let requested = if requested == 0 {
-        thread::available_parallelism().map_or(1, usize::from)
-    } else {
-        requested
-    };
-    requested.clamp(1, grid_points.max(1))
 }
 
 /// Sums the results in slot order, so the floating-point totals are
@@ -1347,6 +1308,13 @@ mod tests {
                 .unwrap_err(),
             CampaignError::InvalidBuffer(ConfigError::ZeroParameter("fifo depth"))
         );
+        for (mode, error) in crate::config::hostile_buffer_modes() {
+            assert_eq!(
+                tiny().with_buffer(mode).validate(),
+                Err(CampaignError::InvalidBuffer(error)),
+                "{mode:?}"
+            );
+        }
         assert_eq!(
             tiny().with_replications(0).scenarios().unwrap_err(),
             CampaignError::EmptyAxis("replications")

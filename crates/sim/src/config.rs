@@ -43,34 +43,39 @@ impl BufferMode {
         }
     }
 
-    /// Checks the mode's parameters (every lane/depth/flit count must be
-    /// nonzero).
+    /// Checks the mode's parameters: every lane/depth/flit count must lie
+    /// in `1..=`[`MAX_BUFFER_PARAMETER`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         match *self {
             BufferMode::Unbuffered => Ok(()),
-            BufferMode::Fifo(depth) => {
-                if depth == 0 {
-                    Err(ConfigError::ZeroParameter("fifo depth"))
-                } else {
-                    Ok(())
-                }
-            }
+            BufferMode::Fifo(depth) => bounded("fifo depth", depth),
             BufferMode::Wormhole {
                 lanes,
                 lane_depth,
                 flits_per_packet,
             } => {
-                if lanes == 0 {
-                    Err(ConfigError::ZeroParameter("wormhole lanes"))
-                } else if lane_depth == 0 {
-                    Err(ConfigError::ZeroParameter("wormhole lane depth"))
-                } else if flits_per_packet == 0 {
-                    Err(ConfigError::ZeroParameter("flits per packet"))
-                } else {
-                    Ok(())
-                }
+                bounded("wormhole lanes", lanes)?;
+                bounded("wormhole lane depth", lane_depth)?;
+                bounded("flits per packet", flits_per_packet)
             }
         }
+    }
+}
+
+/// Largest accepted buffer-mode parameter (FIFO depth, wormhole lanes, lane
+/// depth, flits per packet). The switch cores count queue slots and flits
+/// in `u32`, so a bound this far below `u32::MAX` keeps every capacity,
+/// power-of-two padding and flit count they derive from one parameter in
+/// range.
+pub const MAX_BUFFER_PARAMETER: usize = 1 << 16;
+
+fn bounded(parameter: &'static str, value: usize) -> Result<(), ConfigError> {
+    if value == 0 {
+        Err(ConfigError::ZeroParameter(parameter))
+    } else if value > MAX_BUFFER_PARAMETER {
+        Err(ConfigError::ParameterTooLarge { parameter, value })
+    } else {
+        Ok(())
     }
 }
 
@@ -89,6 +94,13 @@ pub enum ConfigError {
     },
     /// A buffer-mode parameter that must be nonzero is zero.
     ZeroParameter(&'static str),
+    /// A buffer-mode parameter exceeds [`MAX_BUFFER_PARAMETER`].
+    ParameterTooLarge {
+        /// Which parameter.
+        parameter: &'static str,
+        /// The rejected value.
+        value: usize,
+    },
     /// The traffic pattern is invalid (non-finite hot-spot fraction,
     /// malformed permutation or trace, …) — rejected here instead of
     /// asserting at draw time in the injection hot path.
@@ -106,6 +118,10 @@ impl std::fmt::Display for ConfigError {
                 "warm-up of {warmup} cycles consumes the whole {cycles}-cycle budget"
             ),
             ConfigError::ZeroParameter(what) => write!(f, "{what} must be nonzero"),
+            ConfigError::ParameterTooLarge { parameter, value } => write!(
+                f,
+                "{parameter} {value} exceeds the maximum of {MAX_BUFFER_PARAMETER}"
+            ),
             ConfigError::Traffic(e) => write!(f, "invalid traffic pattern: {e}"),
         }
     }
@@ -160,7 +176,7 @@ impl SimConfig {
     /// Checks the configuration for typed errors instead of panicking or
     /// silently misbehaving mid-run: the offered load must be a probability,
     /// the warm-up must leave a measurement window, every buffer-mode
-    /// parameter must be nonzero, and the traffic pattern's parameters must
+    /// parameter must be in range ([`BufferMode::validate`]), and the traffic pattern's parameters must
     /// be in range ([`TrafficPattern::validate`] — fabric-dependent checks
     /// like hot-spot targets run at simulator construction via
     /// [`TrafficPattern::validate_for`]). [`crate::Simulator::new`] calls
@@ -218,6 +234,27 @@ impl SimConfig {
         self.fault_plan = plan;
         self
     }
+}
+
+/// Buffer modes whose parameters overflow the switch cores' `u32`
+/// arithmetic, with the error each must be rejected with.
+#[cfg(test)]
+pub(crate) fn hostile_buffer_modes() -> [(BufferMode, ConfigError); 4] {
+    let too_large = |parameter, value| ConfigError::ParameterTooLarge { parameter, value };
+    let wormhole = |lane_depth, flits_per_packet| BufferMode::Wormhole {
+        lanes: 2,
+        lane_depth,
+        flits_per_packet,
+    };
+    [
+        (BufferMode::Fifo(1 << 31), too_large("fifo depth", 1 << 31)),
+        (BufferMode::Fifo(1 << 63), too_large("fifo depth", 1 << 63)),
+        (
+            wormhole(1 << 32, 4),
+            too_large("wormhole lane depth", 1 << 32),
+        ),
+        (wormhole(4, 1 << 32), too_large("flits per packet", 1 << 32)),
+    ]
 }
 
 #[cfg(test)]
@@ -304,6 +341,27 @@ mod tests {
             .validate(),
             Ok(())
         );
+    }
+
+    #[test]
+    fn oversized_buffer_parameters_are_rejected() {
+        for (mode, error) in hostile_buffer_modes() {
+            assert_eq!(mode.validate(), Err(error), "{mode:?}");
+        }
+        // The same modes arriving as campaign JSON.
+        let fifo: BufferMode = serde_json::from_str(r#"{"Fifo":[2147483648]}"#).unwrap();
+        assert_eq!(fifo, hostile_buffer_modes()[0].0);
+        let fifo: BufferMode = serde_json::from_str(r#"{"Fifo":[9223372036854775808]}"#).unwrap();
+        assert_eq!(fifo, hostile_buffer_modes()[1].0);
+        // The bound itself is accepted.
+        let max = MAX_BUFFER_PARAMETER;
+        assert_eq!(BufferMode::Fifo(max).validate(), Ok(()));
+        let roomy = BufferMode::Wormhole {
+            lanes: max,
+            lane_depth: max,
+            flits_per_packet: max,
+        };
+        assert_eq!(roomy.validate(), Ok(()));
     }
 
     #[test]

@@ -18,8 +18,9 @@
 //! The *storage* behind those phases is pluggable: the engine owns the
 //! clock, the ChaCha8 RNG and the traffic sources, and drives a
 //! [`SwitchCore`] — unbuffered, FIFO, or multi-lane wormhole (see
-//! [`crate::switch`]) — selected by [`SimConfig::buffer_mode`]. All cores
-//! store their state in flat, preallocated arenas.
+//! [`crate::switch`]) — selected by [`SimConfig::buffer_mode`]. The packet
+//! cores queue one record per packet in a preallocated ring arena; the
+//! wormhole core keeps per-lane flit counts.
 //!
 //! The engine is deterministic for a given [`SimConfig::seed`].
 
@@ -207,13 +208,8 @@ impl Simulator {
         };
 
         // Phase 1: delivery at the last stage.
-        self.core.deliver(
-            &self.fabric,
-            &faults,
-            self.cycle,
-            self.config.warmup,
-            &mut self.metrics,
-        );
+        self.core
+            .deliver(&faults, self.cycle, self.config.warmup, &mut self.metrics);
 
         // Phase 2: switching, from the next-to-last stage back to the first.
         self.core
@@ -253,7 +249,6 @@ impl Simulator {
                 };
                 let packet = Packet {
                     id: self.next_packet_id,
-                    source: cell as u32,
                     destination,
                     tag,
                     injected_at: self.cycle,
@@ -491,6 +486,13 @@ mod tests {
         for (cfg, expected) in cases {
             assert_eq!(Simulator::new(omega(3), cfg).unwrap_err(), expected);
         }
+        for (mode, error) in crate::config::hostile_buffer_modes() {
+            assert_eq!(
+                Simulator::new(omega(3), quick_config().with_buffer(mode)).unwrap_err(),
+                SimError::Config(error),
+                "{mode:?}"
+            );
+        }
     }
 
     #[test]
@@ -707,21 +709,44 @@ mod tests {
 
     #[test]
     fn wormhole_flit_accounting_brackets_the_deliveries() {
-        let flits = 4u64;
-        let m = simulate(
-            omega(4),
-            quick_config()
-                .with_load(1.0)
-                .with_buffer(wormhole(2, 2, flits as usize)),
-        )
-        .unwrap();
-        // Every delivered worm ejected exactly `flits` flits; partially
-        // ejected worms account for the slack up to in-flight count.
-        assert!(m.flits_delivered >= m.delivered * flits);
-        assert!(m.flits_delivered <= (m.delivered + m.in_flight_at_end) * flits);
-        // Full load over a shared flit-wide link must stall someone.
-        assert!(m.flit_stalls > 0);
-        assert!(m.mean_lane_occupancy() > 0.0);
+        use crate::fault::FaultPlan;
+        let shapes = [(2, 2, 4), (1, 1, 1), (2, 1, 3), (4, 3, 2), (3, 1, 7)];
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::none().with_dead_switch(1, 0, 200),
+        ];
+        for (lanes, lane_depth, flits) in shapes {
+            for plan in &plans {
+                let m = simulate(
+                    omega(4),
+                    quick_config()
+                        .with_load(1.0)
+                        .with_buffer(wormhole(lanes, lane_depth, flits))
+                        .with_faults(plan.clone()),
+                )
+                .unwrap();
+                let shape = format!("worm({lanes}x{lane_depth}x{flits}) {}", plan.label());
+                let flits = flits as u64;
+                // Every delivered worm ejected exactly `flits` flits;
+                // partially ejected worms, still in flight or killed by a
+                // fault, account for the slack.
+                assert!(m.flits_delivered >= m.delivered * flits, "{shape}");
+                assert!(
+                    m.flits_delivered
+                        <= (m.delivered + m.in_flight_at_end + m.dropped_fault) * flits,
+                    "{shape}"
+                );
+                assert_eq!(
+                    m.injected,
+                    m.delivered + m.dropped() + m.in_flight_at_end,
+                    "conservation, {shape}"
+                );
+                // Full load over a shared flit-wide link must stall someone.
+                assert!(m.flit_stalls > 0, "{shape}");
+                assert!(m.mean_lane_occupancy() > 0.0, "{shape}");
+                assert_eq!(m.unroutable_drops > 0, !plan.is_empty(), "{shape}");
+            }
+        }
     }
 
     #[test]

@@ -77,12 +77,12 @@ pub use campaign::{
     assemble, execute_shard, run_campaign, CampaignConfig, CampaignPlan, CampaignReport,
     MergeError, Scenario, ScenarioResult, Shard,
 };
-pub use config::{BufferMode, ConfigError, SimConfig};
+pub use config::{BufferMode, ConfigError, SimConfig, MAX_BUFFER_PARAMETER};
 pub use engine::{simulate, SimError, Simulator};
 pub use fault::{Fault, FaultError, FaultKind, FaultPlan, FaultView, LinkStatus};
 pub use lane::{LaneEngine, LANE_WIDTH};
 pub use metrics::Metrics;
-pub use packet::{Flit, Packet};
+pub use packet::Packet;
 pub use switch::{FifoCore, RingArena, SwitchCore, UnbufferedCore, WormholeCore};
 pub use traffic::{
     DestSampler, Offer, TraceData, TraceError, TraceRecord, TrafficError, TrafficPattern,

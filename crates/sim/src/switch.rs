@@ -17,18 +17,13 @@
 //!   per cycle, and a blocked worm holds its lanes across stages until the
 //!   tail drains through.
 //!
-//! The packet-atomic cores keep their state in struct-of-arrays ring
-//! buffers: the routing tags, destinations and injection times of every
-//! queued packet live in three parallel flat arrays indexed by
-//! `(stage, cell)` ring cursors, with ring capacities padded to a power of
-//! two so every wrap is a mask instead of a hardware division. Compared
-//! with the previous array-of-`Packet` arena this keeps the per-cycle
-//! advance/arbitrate/deliver loop branch-light and cache-linear: the switch
-//! pass touches only the tag lane, delivery only the destination and
-//! injection-time lanes, and the unobservable `id`/`source` header fields
-//! are not stored at all. The wormhole core keeps its flits in a
-//! [`RingArena`] (one contiguous, preallocated slot vector plus per-ring
-//! `head`/`len` cursors) with the same power-of-two wrap.
+//! Both packet-atomic cores keep one [`RingArena`] of queued-packet records
+//! (routing tag, destination, injection time), one ring per `(stage, cell)`.
+//! Ring capacities are padded to a power of two, so every wrap is a mask
+//! instead of a hardware division. The wormhole core stores no flits at
+//! all: a lane belongs to one worm and receives its flits in sequence, so
+//! each lane keeps a count of the flits it holds and of those still to
+//! arrive, and the last flit out is the tail.
 //!
 //! All cores support [`SwitchCore::reset`], which rewinds the arenas to
 //! their pristine state without reallocating — the batching layer
@@ -39,7 +34,7 @@ use crate::config::BufferMode;
 use crate::fabric::Fabric;
 use crate::fault::{FaultView, LinkStatus};
 use crate::metrics::Metrics;
-use crate::packet::{Flit, Packet};
+use crate::packet::Packet;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
@@ -61,14 +56,7 @@ pub trait SwitchCore: std::fmt::Debug + Send {
     /// Phase 1 — drain everything deliverable at the last stage, recording
     /// deliveries, misroutes and (post-warm-up) latencies. Traffic sitting
     /// in a dead last-stage switch is lost instead (`faults`).
-    fn deliver(
-        &mut self,
-        fabric: &Fabric,
-        faults: &FaultView<'_>,
-        cycle: u64,
-        warmup: u64,
-        metrics: &mut Metrics,
-    );
+    fn deliver(&mut self, faults: &FaultView<'_>, cycle: u64, warmup: u64, metrics: &mut Metrics);
 
     /// Phase 2 — move packets (or flits) one stage forward, from the
     /// next-to-last stage back to the first so that space freed in a stage
@@ -150,7 +138,7 @@ pub struct RingArena<T> {
 impl<T: Copy + Default> RingArena<T> {
     /// An arena of `rings` empty rings, each holding up to `cap` values.
     pub fn new(rings: usize, cap: usize) -> Self {
-        assert!(cap > 0 && cap < u32::MAX as usize, "ring capacity {cap}");
+        assert!(cap > 0 && cap <= 1 << 31, "ring capacity {cap}");
         let storage = cap.next_power_of_two();
         RingArena {
             slots: vec![T::default(); rings * storage],
@@ -160,18 +148,6 @@ impl<T: Copy + Default> RingArena<T> {
             mask: storage as u32 - 1,
             shift: storage.trailing_zeros(),
         }
-    }
-
-    /// Number of values currently in ring `r`.
-    #[inline]
-    pub fn len(&self, r: usize) -> usize {
-        self.len[r] as usize
-    }
-
-    /// Whether ring `r` holds no values.
-    #[inline]
-    pub fn is_empty(&self, r: usize) -> bool {
-        self.len[r] == 0
     }
 
     /// Whether ring `r` is at (logical) capacity.
@@ -243,49 +219,44 @@ impl<T: Copy + Default> RingArena<T> {
     }
 }
 
-/// Shared state and cycle logic of the two packet-atomic cores, stored as
-/// struct-of-arrays ring buffers: one ring per `(stage, cell)` whose slots
-/// live in three parallel lanes — routing `tag`, `dest`ination, and
-/// `injected_at` time. The `id`/`source` header fields of [`Packet`] are
-/// never observable through the metrics, so they are not stored at all;
-/// the switching pass reads only the tag lane to arbitrate, and delivery
-/// reads only the destination and injection-time lanes.
-#[derive(Debug)]
-struct PacketQueues {
-    tag: Vec<u32>,
-    dest: Vec<u32>,
-    injected_at: Vec<u64>,
-    head: Vec<u32>,
-    len: Vec<u32>,
-    stages: usize,
-    cells: usize,
-    /// Logical per-ring capacity — the admission limit.
-    capacity: u32,
-    /// Power-of-two cursor wrap mask (storage is padded like [`RingArena`]).
-    mask: u32,
-    /// Ring stride shift into the slot lanes.
-    shift: u32,
+/// One queued packet: the header fields the packet cores read. The switch
+/// pass arbitrates on `tag`; delivery reads `dest` and `injected_at`.
+#[derive(Debug, Clone, Copy, Default)]
+struct Queued {
+    tag: u32,
+    dest: u32,
+    injected_at: u64,
 }
 
-impl PacketQueues {
-    fn new(stages: usize, cells: usize, capacity: usize) -> Self {
-        assert!(
-            capacity > 0 && capacity < u32::MAX as usize,
-            "queue capacity {capacity}"
-        );
-        let storage = capacity.next_power_of_two();
-        let rings = stages * cells;
-        PacketQueues {
-            tag: vec![0; rings * storage],
-            dest: vec![0; rings * storage],
-            injected_at: vec![0; rings * storage],
-            head: vec![0; rings],
-            len: vec![0; rings],
+/// The shared packet-atomic core, parameterized at the type level by its
+/// conflict policy: `UNBUFFERED = true` drops conflict losers (Patel's
+/// model), `false` retains them with backpressure. Use through the
+/// [`UnbufferedCore`] and [`FifoCore`] aliases.
+///
+/// Every `(stage, cell)` queue is one ring of a [`RingArena`] of
+/// queued-packet records.
+#[derive(Debug)]
+pub struct PacketCore<const UNBUFFERED: bool> {
+    queues: RingArena<Queued>,
+    stages: usize,
+    cells: usize,
+}
+
+/// Patel's unbuffered crossbar cells over a flat arena: conflict losers and
+/// backpressured packets are dropped, so the fabric never holds more than
+/// two packets per cell.
+pub type UnbufferedCore = PacketCore<true>;
+
+/// Per-cell FIFOs with backpressure over a flat arena: blocked packets stay
+/// queued, and injection is refused when the first-stage queue is full.
+pub type FifoCore = PacketCore<false>;
+
+impl<const UNBUFFERED: bool> PacketCore<UNBUFFERED> {
+    fn with_capacity(stages: usize, cells: usize, capacity: usize) -> Self {
+        PacketCore {
+            queues: RingArena::new(stages * cells, capacity),
             stages,
             cells,
-            capacity: capacity as u32,
-            mask: storage as u32 - 1,
-            shift: storage.trailing_zeros(),
         }
     }
 
@@ -294,147 +265,103 @@ impl PacketQueues {
         stage * self.cells + cell
     }
 
-    #[inline]
-    fn slot(&self, r: usize, offset: u32) -> usize {
-        (r << self.shift) + ((self.head[r].wrapping_add(offset)) & self.mask) as usize
-    }
-
-    #[inline]
-    fn pop_front(&mut self, r: usize) -> Option<(u32, u32, u64)> {
-        if self.len[r] == 0 {
-            return None;
+    /// Empties ring `r`, the queue of a dead switch in `stage`, counting
+    /// each packet as a fault loss there.
+    fn drop_dead(&mut self, r: usize, stage: usize, metrics: &mut Metrics) {
+        while self.queues.pop_front(r).is_some() {
+            metrics.dropped_fault += 1;
+            metrics.record_fault_exposure(stage);
         }
-        let s = self.slot(r, 0);
-        let v = (self.tag[s], self.dest[s], self.injected_at[s]);
-        self.head[r] = (self.head[r] + 1) & self.mask;
-        self.len[r] -= 1;
-        Some(v)
     }
+}
 
-    #[inline]
-    fn push_back(&mut self, r: usize, tag: u32, dest: u32, injected_at: u64) {
-        debug_assert!(self.len[r] < self.capacity, "ring {r} overflow");
-        let s = self.slot(r, self.len[r]);
-        self.tag[s] = tag;
-        self.dest[s] = dest;
-        self.injected_at[s] = injected_at;
-        self.len[r] += 1;
+impl PacketCore<true> {
+    /// An unbuffered core for a `stages × cells` fabric.
+    pub fn new(stages: usize, cells: usize) -> Self {
+        Self::with_capacity(stages, cells, 2)
     }
+}
 
-    #[inline]
-    fn push_front(&mut self, r: usize, tag: u32, dest: u32, injected_at: u64) {
-        debug_assert!(self.len[r] < self.capacity, "ring {r} overflow");
-        self.head[r] = self.head[r].wrapping_add(self.mask) & self.mask;
-        let s = self.slot(r, 0);
-        self.tag[s] = tag;
-        self.dest[s] = dest;
-        self.injected_at[s] = injected_at;
-        self.len[r] += 1;
+impl PacketCore<false> {
+    /// A FIFO core for a `stages × cells` fabric with per-cell FIFOs holding
+    /// `2 · depth` packets (depth per input port of the 2×2 cell).
+    pub fn new(stages: usize, cells: usize, depth: usize) -> Self {
+        Self::with_capacity(stages, cells, 2 * depth)
     }
+}
 
-    fn total_len(&self) -> u64 {
-        self.len.iter().map(|&l| u64::from(l)).sum()
-    }
-
-    /// Logical slot capacity (`rings × capacity`), excluding padding.
-    fn slot_count(&self) -> u64 {
-        self.head.len() as u64 * u64::from(self.capacity)
-    }
-
-    fn reset(&mut self) {
-        self.head.fill(0);
-        self.len.fill(0);
-    }
-
+impl<const UNBUFFERED: bool> SwitchCore for PacketCore<UNBUFFERED> {
     fn deliver(&mut self, faults: &FaultView<'_>, cycle: u64, warmup: u64, metrics: &mut Metrics) {
         let last = self.stages - 1;
         let degraded = faults.any_active();
         for cell in 0..self.cells {
             let r = self.ring(last, cell);
             if faults.cell_dead(last, cell) {
-                while self.pop_front(r).is_some() {
-                    metrics.dropped_fault += 1;
-                    metrics.record_fault_exposure(last);
-                }
+                self.drop_dead(r, last, metrics);
                 continue;
             }
-            while let Some((_, dest, injected_at)) = self.pop_front(r) {
+            while let Some(q) = self.queues.pop_front(r) {
                 metrics.delivered += 1;
                 if degraded {
                     metrics.delivered_despite_fault += 1;
                 }
-                if dest as usize != cell {
+                if q.dest as usize != cell {
                     metrics.misrouted += 1;
                 }
-                if injected_at >= warmup {
-                    metrics.record_latency(cycle - injected_at);
+                if q.injected_at >= warmup {
+                    metrics.record_latency(cycle - q.injected_at);
                 }
             }
         }
     }
 
-    /// One switching pass. `unbuffered` selects the drop-on-conflict policy;
-    /// otherwise blocked packets are retained at the head of their queue in
-    /// arrival order.
+    /// One switching pass. `UNBUFFERED` selects the drop-on-conflict
+    /// policy; otherwise blocked packets are retained at the head of their
+    /// queue in arrival order.
     fn switch(
         &mut self,
         fabric: &Fabric,
         faults: &FaultView<'_>,
         rng: &mut ChaCha8Rng,
         metrics: &mut Metrics,
-        unbuffered: bool,
     ) {
         for s in (0..self.stages - 1).rev() {
             for cell in 0..self.cells {
                 let r = self.ring(s, cell);
                 // A switch that died takes its queued traffic with it.
                 if faults.cell_dead(s, cell) {
-                    while self.pop_front(r).is_some() {
-                        metrics.dropped_fault += 1;
-                        metrics.record_fault_exposure(s);
-                    }
+                    self.drop_dead(r, s, metrics);
                     continue;
                 }
                 // A 2x2 cell forwards at most one packet per out-port per
                 // cycle; only the two packets at the head of the queue are
                 // considered this cycle (FIFO order preserved).
                 let mut port_used = [false; 2];
-                let mut cand_tag = [0u32; 2];
-                let mut cand_dest = [0u32; 2];
-                let mut cand_inj = [0u64; 2];
+                let mut cand = [Queued::default(); 2];
                 let mut count = 0;
                 while count < 2 {
-                    match self.pop_front(r) {
-                        Some((tag, dest, injected_at)) => {
-                            cand_tag[count] = tag;
-                            cand_dest[count] = dest;
-                            cand_inj[count] = injected_at;
+                    match self.queues.pop_front(r) {
+                        Some(q) => {
+                            cand[count] = q;
                             count += 1;
                         }
                         None => break,
                     }
                 }
                 // Resolve same-port contention with a fair coin.
-                if count == 2 && ((cand_tag[0] ^ cand_tag[1]) >> s) & 1 == 0 && rng.gen_bool(0.5) {
-                    cand_tag.swap(0, 1);
-                    cand_dest.swap(0, 1);
-                    cand_inj.swap(0, 1);
+                if count == 2 && ((cand[0].tag ^ cand[1].tag) >> s) & 1 == 0 && rng.gen_bool(0.5) {
+                    cand.swap(0, 1);
                 }
-                let mut ret_tag = [0u32; 2];
-                let mut ret_dest = [0u32; 2];
-                let mut ret_inj = [0u64; 2];
+                let mut ret = [Queued::default(); 2];
                 let mut retained_count = 0;
-                for i in 0..count {
-                    let (tag, dest, injected_at) = (cand_tag[i], cand_dest[i], cand_inj[i]);
-                    let port = ((tag >> s) & 1) as usize;
+                for &q in &cand[..count] {
+                    let port = ((q.tag >> s) & 1) as usize;
                     if port_used[port] {
                         // Lost arbitration.
-                        if unbuffered {
+                        if UNBUFFERED {
                             metrics.dropped_arbitration += 1;
                         } else {
-                            ret_tag[retained_count] = tag;
-                            ret_dest[retained_count] = dest;
-                            ret_inj[retained_count] = injected_at;
+                            ret[retained_count] = q;
                             retained_count += 1;
                         }
                         continue;
@@ -451,12 +378,10 @@ impl PacketQueues {
                             // Half-bandwidth link on an off cycle: wait if
                             // the core can hold the packet, lose it if not.
                             metrics.record_fault_exposure(s);
-                            if unbuffered {
+                            if UNBUFFERED {
                                 metrics.dropped_fault += 1;
                             } else {
-                                ret_tag[retained_count] = tag;
-                                ret_dest[retained_count] = dest;
-                                ret_inj[retained_count] = injected_at;
+                                ret[retained_count] = q;
                                 retained_count += 1;
                             }
                             continue;
@@ -470,25 +395,23 @@ impl PacketQueues {
                         continue;
                     }
                     let nr = self.ring(s + 1, next);
-                    if self.len[nr] < self.capacity {
+                    if !self.queues.is_full(nr) {
                         port_used[port] = true;
-                        self.push_back(nr, tag, dest, injected_at);
-                    } else if unbuffered {
+                        self.queues.push_back(nr, q);
+                    } else if UNBUFFERED {
                         metrics.dropped_backpressure += 1;
                     } else {
-                        ret_tag[retained_count] = tag;
-                        ret_dest[retained_count] = dest;
-                        ret_inj[retained_count] = injected_at;
+                        ret[retained_count] = q;
                         retained_count += 1;
                     }
                 }
                 // Put retained packets back at the front, preserving order.
-                for i in (0..retained_count).rev() {
-                    self.push_front(r, ret_tag[i], ret_dest[i], ret_inj[i]);
+                for &q in ret[..retained_count].iter().rev() {
+                    self.queues.push_front(r, q);
                 }
                 // In unbuffered mode nothing may linger in an interior queue.
-                if unbuffered && s > 0 {
-                    while self.pop_front(r).is_some() {
+                if UNBUFFERED && s > 0 {
+                    while self.queues.pop_front(r).is_some() {
                         metrics.dropped_backpressure += 1;
                     }
                 }
@@ -497,80 +420,19 @@ impl PacketQueues {
     }
 
     fn can_accept(&self, cell: usize) -> bool {
-        self.len[self.ring(0, cell)] < self.capacity
+        !self.queues.is_full(self.ring(0, cell))
     }
 
     fn inject(&mut self, cell: usize, packet: Packet) {
         let r = self.ring(0, cell);
-        self.push_back(r, packet.tag, packet.destination, packet.injected_at);
-    }
-}
-
-/// The shared packet-atomic core, parameterized at the type level by its
-/// conflict policy: `UNBUFFERED = true` drops conflict losers (Patel's
-/// model), `false` retains them with backpressure. Use through the
-/// [`UnbufferedCore`] and [`FifoCore`] aliases.
-#[derive(Debug)]
-pub struct PacketCore<const UNBUFFERED: bool> {
-    queues: PacketQueues,
-}
-
-/// Patel's unbuffered crossbar cells over a flat arena: conflict losers and
-/// backpressured packets are dropped, so the fabric never holds more than
-/// two packets per cell.
-pub type UnbufferedCore = PacketCore<true>;
-
-/// Per-cell FIFOs with backpressure over a flat arena: blocked packets stay
-/// queued, and injection is refused when the first-stage queue is full.
-pub type FifoCore = PacketCore<false>;
-
-impl PacketCore<true> {
-    /// An unbuffered core for a `stages × cells` fabric.
-    pub fn new(stages: usize, cells: usize) -> Self {
-        PacketCore {
-            queues: PacketQueues::new(stages, cells, 2),
-        }
-    }
-}
-
-impl PacketCore<false> {
-    /// A FIFO core for a `stages × cells` fabric with per-cell FIFOs holding
-    /// `2 · depth` packets (depth per input port of the 2×2 cell).
-    pub fn new(stages: usize, cells: usize, depth: usize) -> Self {
-        PacketCore {
-            queues: PacketQueues::new(stages, cells, 2 * depth.max(1)),
-        }
-    }
-}
-
-impl<const UNBUFFERED: bool> SwitchCore for PacketCore<UNBUFFERED> {
-    fn deliver(
-        &mut self,
-        _fabric: &Fabric,
-        faults: &FaultView<'_>,
-        cycle: u64,
-        warmup: u64,
-        metrics: &mut Metrics,
-    ) {
-        self.queues.deliver(faults, cycle, warmup, metrics);
-    }
-
-    fn switch(
-        &mut self,
-        fabric: &Fabric,
-        faults: &FaultView<'_>,
-        rng: &mut ChaCha8Rng,
-        metrics: &mut Metrics,
-    ) {
-        self.queues.switch(fabric, faults, rng, metrics, UNBUFFERED);
-    }
-
-    fn can_accept(&self, cell: usize) -> bool {
-        self.queues.can_accept(cell)
-    }
-
-    fn inject(&mut self, cell: usize, packet: Packet) {
-        self.queues.inject(cell, packet);
+        self.queues.push_back(
+            r,
+            Queued {
+                tag: packet.tag,
+                dest: packet.destination,
+                injected_at: packet.injected_at,
+            },
+        );
     }
 
     fn in_flight(&self) -> u64 {
@@ -597,6 +459,10 @@ struct LaneState {
     /// still in the upstream lane, or in the source staging buffer for
     /// first-stage lanes).
     to_receive: u32,
+    /// Flits of the worm sitting in this lane. A lane belongs to one worm
+    /// and receives its flits in order, so a count is all it needs: the
+    /// flit leaving when `to_receive == 0` and `held` drops to 0 is the tail.
+    held: u32,
     /// Whether the head flit has already allocated a downstream lane.
     route_set: bool,
     /// Global index of the allocated downstream lane (valid iff `route_set`).
@@ -605,24 +471,25 @@ struct LaneState {
 
 /// Multi-lane virtual-channel wormhole core.
 ///
-/// Every cell owns `lanes` lanes, each a [`RingArena`] ring of `lane_depth`
-/// flits. A packet is injected as a worm of `flits_per_packet` flits into a
-/// free first-stage lane; its head flit allocates a free lane in the
-/// downstream cell chosen by destination-tag routing, and the body streams
-/// behind it at one flit per out-port per cycle (same-port contention between
-/// lanes is arbitrated uniformly at random, and a blocked winner yields the
-/// port to the next ready lane). A lane is released only when the worm's tail
-/// flit has drained through it, so a blocked worm holds lanes across several
-/// stages — the defining wormhole behaviour. The stage-ordered channel
-/// dependencies of a MIN are acyclic, so this cannot deadlock.
+/// Every cell owns `lanes` lanes, each holding up to `lane_depth` flits
+/// (counted, not stored). A packet is injected as a worm of
+/// `flits_per_packet` flits into a free first-stage lane; its head flit
+/// allocates a free lane in the downstream cell chosen by destination-tag
+/// routing, and the body streams behind it at one flit per out-port per cycle
+/// (same-port contention between lanes is arbitrated uniformly at random, and
+/// a blocked winner yields the port to the next ready lane). A lane is
+/// released only when the worm's tail flit has drained through it, so a
+/// blocked worm holds lanes across several stages — the defining wormhole
+/// behaviour. The stage-ordered channel dependencies of a MIN are acyclic, so
+/// this cannot deadlock.
 #[derive(Debug)]
 pub struct WormholeCore {
     stages: usize,
     cells: usize,
     lanes_per_cell: usize,
+    lane_depth: u32,
     flits_per_packet: u32,
     lane: Vec<LaneState>,
-    flits: RingArena<Flit>,
     in_flight: u64,
     /// Reused per-port candidate lists for the switching pass, kept on the
     /// core so steady-state switching allocates nothing.
@@ -632,7 +499,10 @@ pub struct WormholeCore {
 impl WormholeCore {
     /// A core for a `stages × cells` fabric with `lanes` lanes of
     /// `lane_depth` flits per cell and `flits_per_packet` flits per worm.
-    /// All three parameters must be nonzero (see [`BufferMode::validate`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the parameters fail [`BufferMode::validate`].
     pub fn new(
         stages: usize,
         cells: usize,
@@ -640,18 +510,22 @@ impl WormholeCore {
         lane_depth: usize,
         flits_per_packet: usize,
     ) -> Self {
-        assert!(
-            lanes > 0 && lane_depth > 0 && flits_per_packet > 0,
-            "wormhole parameters must be nonzero"
-        );
+        let mode = BufferMode::Wormhole {
+            lanes,
+            lane_depth,
+            flits_per_packet,
+        };
+        if let Err(e) = mode.validate() {
+            panic!("{e}");
+        }
         let lane_count = stages * cells * lanes;
         WormholeCore {
             stages,
             cells,
             lanes_per_cell: lanes,
+            lane_depth: lane_depth as u32,
             flits_per_packet: flits_per_packet as u32,
             lane: vec![LaneState::default(); lane_count],
-            flits: RingArena::new(lane_count, lane_depth),
             in_flight: 0,
             want_scratch: [Vec::new(), Vec::new()],
         }
@@ -692,35 +566,33 @@ impl WormholeCore {
                 active: true,
                 packet,
                 to_receive: self.flits_per_packet,
+                held: 0,
                 route_set: false,
                 out_lane: 0,
             };
         }
         let dl = self.lane[li].out_lane as usize;
-        if self.flits.is_full(dl) {
+        if self.lane[dl].held == self.lane_depth {
             return false;
         }
-        let flit = self
-            .flits
-            .pop_front(li)
-            .expect("forward candidates hold a flit");
-        self.flits.push_back(dl, flit);
+        self.lane[dl].held += 1;
         self.lane[dl].to_receive -= 1;
+        let up = &mut self.lane[li];
+        up.held -= 1;
         // The whole worm has drained through: release the upstream lane.
-        if self.flits.is_empty(li) && self.lane[li].to_receive == 0 {
-            self.lane[li] = LaneState::default();
+        if up.held == 0 && up.to_receive == 0 {
+            *up = LaneState::default();
         }
         true
     }
 
     /// Kills the worm with packet id `id` outright: every lane it holds (in
     /// any stage, including flits already forwarded past the fault and the
-    /// source staging remainder) is drained and freed. One fault loss is
-    /// recorded at `stage`.
+    /// source staging remainder) is freed. One fault loss is recorded at
+    /// `stage`.
     fn kill_worm(&mut self, id: u64, stage: usize, metrics: &mut Metrics) {
         for li in 0..self.lane.len() {
             if self.lane[li].active && self.lane[li].packet.id == id {
-                while self.flits.pop_front(li).is_some() {}
                 self.lane[li] = LaneState::default();
             }
         }
@@ -742,14 +614,7 @@ impl WormholeCore {
 }
 
 impl SwitchCore for WormholeCore {
-    fn deliver(
-        &mut self,
-        _fabric: &Fabric,
-        faults: &FaultView<'_>,
-        cycle: u64,
-        warmup: u64,
-        metrics: &mut Metrics,
-    ) {
+    fn deliver(&mut self, faults: &FaultView<'_>, cycle: u64, warmup: u64, metrics: &mut Metrics) {
         // A last-stage cell has two output terminals, so it ejects at most
         // two flits per cycle (one per ejection link, matching the
         // one-flit-per-link discipline of the interior stages). Lanes take
@@ -769,27 +634,27 @@ impl SwitchCore for WormholeCore {
                 }
                 let l = (start + k) % self.lanes_per_cell;
                 let li = self.lane_index(self.stages - 1, cell, l);
-                if !self.lane[li].active {
+                let lane = &mut self.lane[li];
+                if !lane.active || lane.held == 0 {
                     continue;
                 }
-                if let Some(flit) = self.flits.pop_front(li) {
-                    eject_budget -= 1;
-                    metrics.flits_delivered += 1;
-                    if flit.is_tail() {
-                        let p = self.lane[li].packet;
-                        metrics.delivered += 1;
-                        if degraded {
-                            metrics.delivered_despite_fault += 1;
-                        }
-                        if p.destination as usize != cell {
-                            metrics.misrouted += 1;
-                        }
-                        if p.injected_at >= warmup {
-                            metrics.record_latency(cycle - p.injected_at);
-                        }
-                        self.lane[li] = LaneState::default();
-                        self.in_flight -= 1;
+                eject_budget -= 1;
+                metrics.flits_delivered += 1;
+                lane.held -= 1;
+                if lane.held == 0 && lane.to_receive == 0 {
+                    let p = lane.packet;
+                    metrics.delivered += 1;
+                    if degraded {
+                        metrics.delivered_despite_fault += 1;
                     }
+                    if p.destination as usize != cell {
+                        metrics.misrouted += 1;
+                    }
+                    if p.injected_at >= warmup {
+                        metrics.record_latency(cycle - p.injected_at);
+                    }
+                    *lane = LaneState::default();
+                    self.in_flight -= 1;
                 }
             }
         }
@@ -819,7 +684,7 @@ impl SwitchCore for WormholeCore {
                 want[1].clear();
                 for l in 0..self.lanes_per_cell {
                     let li = self.lane_index(s, cell, l);
-                    if self.lane[li].active && !self.flits.is_empty(li) {
+                    if self.lane[li].active && self.lane[li].held > 0 {
                         let port = self.lane[li].packet.port_at(s) as usize;
                         want[port].push(li);
                     }
@@ -882,12 +747,10 @@ impl SwitchCore for WormholeCore {
         for cell in 0..self.cells {
             for l in 0..self.lanes_per_cell {
                 let li = self.lane_index(0, cell, l);
-                let state = self.lane[li];
-                if state.active && state.to_receive > 0 && !self.flits.is_full(li) {
-                    let seq = self.flits_per_packet - state.to_receive;
-                    self.flits
-                        .push_back(li, state.packet.flit(seq, self.flits_per_packet));
-                    self.lane[li].to_receive -= 1;
+                let lane = &mut self.lane[li];
+                if lane.active && lane.to_receive > 0 && lane.held < self.lane_depth {
+                    lane.held += 1;
+                    lane.to_receive -= 1;
                 }
             }
         }
@@ -907,11 +770,10 @@ impl SwitchCore for WormholeCore {
             // The head flit enters the lane in the injection cycle itself;
             // the rest of the worm streams in from the source staging buffer.
             to_receive: self.flits_per_packet - 1,
+            held: 1,
             route_set: false,
             out_lane: 0,
         };
-        self.flits
-            .push_back(li, packet.flit(0, self.flits_per_packet));
         self.in_flight += 1;
     }
 
@@ -926,7 +788,6 @@ impl SwitchCore for WormholeCore {
 
     fn reset(&mut self) {
         self.lane.fill(LaneState::default());
-        self.flits.reset();
         self.in_flight = 0;
         self.want_scratch[0].clear();
         self.want_scratch[1].clear();
@@ -940,12 +801,13 @@ mod tests {
     #[test]
     fn ring_arena_is_fifo_and_wraps() {
         let mut a: RingArena<u32> = RingArena::new(2, 3);
-        assert!(a.is_empty(0) && a.is_empty(1));
+        assert_eq!(a.total_len(), 0);
         a.push_back(0, 1);
         a.push_back(0, 2);
         a.push_back(0, 3);
         assert!(a.is_full(0));
-        assert!(a.is_empty(1), "rings are independent");
+        assert!(!a.is_full(1), "rings are independent");
+        assert_eq!(a.total_len(), 3);
         assert_eq!(a.pop_front(0), Some(1));
         a.push_back(0, 4); // wraps around the slot boundary
         assert_eq!(a.pop_front(0), Some(2));
@@ -982,8 +844,8 @@ mod tests {
         assert!(a.is_full(0), "logical capacity, not padded storage");
         a.push_back(1, 9);
         a.reset();
-        assert!(a.is_empty(0) && a.is_empty(1));
         assert_eq!(a.total_len(), 0);
+        assert_eq!(a.pop_front(1), None);
         a.push_back(0, 7);
         assert_eq!(a.pop_front(0), Some(7));
     }
@@ -1032,6 +894,49 @@ mod tests {
         let (occupied, total) = core.occupancy();
         assert_eq!(occupied, 2);
         assert_eq!(total, 3 * 4 * 2);
+    }
+
+    #[test]
+    fn a_lone_worm_delivers_every_flit_and_frees_its_lanes() {
+        use crate::fault::FaultView;
+        use crate::traffic::TrafficPattern;
+        use rand::SeedableRng;
+        let fabric = Fabric::new(min_networks::omega(3), &TrafficPattern::Uniform).unwrap();
+        let (stages, cells) = (fabric.stages(), fabric.cells());
+        let (source, destination) = (1, 2);
+        let tag = fabric
+            .router()
+            .tag(source as u64, 0, u64::from(destination))
+            .unwrap();
+        for flits in [1, 3] {
+            for lane_depth in [1, 2] {
+                let mut core = WormholeCore::new(stages, cells, 2, lane_depth, flits);
+                let mut rng = ChaCha8Rng::seed_from_u64(0);
+                let mut metrics = Metrics::default();
+                core.inject(
+                    source,
+                    Packet {
+                        id: 0,
+                        destination,
+                        tag,
+                        injected_at: 0,
+                    },
+                );
+                let mut cycle = 0;
+                while core.in_flight() > 0 {
+                    assert!(cycle < 100, "F={flits} depth={lane_depth}: worm stuck");
+                    let healthy = FaultView::healthy(cycle);
+                    core.deliver(&healthy, cycle, 0, &mut metrics);
+                    core.switch(&fabric, &healthy, &mut rng, &mut metrics);
+                    cycle += 1;
+                }
+                let shape = format!("F={flits} depth={lane_depth}");
+                assert_eq!(metrics.delivered, 1, "{shape}");
+                assert_eq!(metrics.flits_delivered, flits as u64, "{shape}");
+                assert_eq!(metrics.misrouted, 0, "{shape}");
+                assert_eq!(core.occupancy().0, 0, "{shape}: every lane released");
+            }
+        }
     }
 
     #[test]

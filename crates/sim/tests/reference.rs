@@ -148,7 +148,6 @@ impl ReferenceSimulator {
                 let destination = self.sampler.draw(cell as u32, &mut self.rng);
                 let packet = min_sim::Packet {
                     id: self.next_packet_id,
-                    source: cell as u32,
                     destination,
                     tag: tags[destination as usize],
                     injected_at: self.cycle,
