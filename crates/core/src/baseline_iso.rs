@@ -49,20 +49,18 @@ pub fn baseline_digraph(stages: usize) -> MiDigraph {
     );
     let width_bits = stages - 1;
     let cells = 1usize << width_bits;
-    let mut g = MiDigraph::new(stages, cells);
-    for s in 0..stages - 1 {
+    let arcs = (0..stages - 1).flat_map(move |s| {
         let low_bits = width_bits - s; // number of bits still being consumed
         let low_mask = (1u64 << low_bits) - 1;
         let high_mask = !low_mask & ((1u64 << width_bits) - 1);
         let new_bit = 1u64 << (low_bits - 1);
-        for x in 0..cells as u64 {
+        (0..cells as u64).flat_map(move |x| {
             let f = (x & high_mask) | ((x & low_mask) >> 1);
             let g_child = f | new_bit;
-            g.add_arc(s, x as u32, f as u32);
-            g.add_arc(s, x as u32, g_child as u32);
-        }
-    }
-    g
+            [(s, x as u32, f as u32), (s, x as u32, g_child as u32)]
+        })
+    });
+    MiDigraph::from_arcs(stages, cells, arcs).expect("the Baseline's arcs stay inside it")
 }
 
 /// A verified isomorphism certificate onto the Baseline MI-digraph.
@@ -416,7 +414,7 @@ mod tests {
 
     #[test]
     fn wrong_width_is_rejected() {
-        let g = MiDigraph::new(3, 5);
+        let g = MiDigraph::from_arcs(3, 5, []).unwrap();
         assert_eq!(
             baseline_isomorphism(&g),
             Err(EquivalenceError::WrongWidth {
@@ -428,8 +426,7 @@ mod tests {
 
     #[test]
     fn irregular_graphs_are_rejected() {
-        let mut g = MiDigraph::new(2, 2);
-        g.add_arc(0, 0, 0);
+        let g = MiDigraph::from_arcs(2, 2, [(0, 0, 0)]).unwrap();
         assert_eq!(
             baseline_isomorphism(&g),
             Err(EquivalenceError::NotTwoRegular)
@@ -473,7 +470,7 @@ mod tests {
 
     #[test]
     fn single_stage_network_is_trivially_equivalent() {
-        let g = MiDigraph::new(1, 1);
+        let g = MiDigraph::from_arcs(1, 1, []).unwrap();
         let cert = baseline_isomorphism(&g).expect("the one-node network");
         assert_eq!(cert.mapping, vec![vec![0]]);
     }

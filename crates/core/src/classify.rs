@@ -12,8 +12,9 @@
 //! * all Baseline-equivalent networks of one stage count form **one** class
 //!   (they are mutually equivalent by composing their certificates —
 //!   Theorem 3 / the §2 characterization), and the campaign *re-verifies*
-//!   that claim by composing every member's certificate with the class
-//!   representative's and checking the mapping arc by arc;
+//!   that claim, in parallel, by rebuilding every member, composing its
+//!   certificate with the class representative's and checking the mapping
+//!   arc by arc;
 //! * networks that are **not** Baseline-equivalent are grouped by their
 //!   violated condition (the specific [`crate::EquivalenceError`]
 //!   diagnosis). The
@@ -33,8 +34,10 @@
 //! position in the canonical grid expansion, random subjects derive their
 //! ChaCha8 seed from `(campaign_seed, index)` by the SplitMix64 finalizer
 //! ([`derive_seed`]), workers pull indices from an atomic cursor, and
-//! results are slotted by index — never by completion order. Class
-//! identifiers are assigned in order of first appearance. The
+//! results are slotted by index — never by completion order; the parallel
+//! cross-verification likewise slots each audit's verdict by its position
+//! in the member list. Class identifiers are assigned in order of first
+//! appearance. The
 //! [`ClassificationReport`] and its JSON are therefore **byte-identical at
 //! any worker-thread count**, which is what lets CI diff the partition
 //! across runs.
@@ -62,6 +65,7 @@ use crate::baseline_iso::{baseline_isomorphism, BaselineIsomorphism};
 use crate::equivalence::compose_baseline_certificates;
 use crate::network::ConnectionNetwork;
 use min_graph::iso::verify_stage_mapping;
+use min_graph::MiDigraph;
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -405,6 +409,7 @@ fn classify_one(subject: &Subject) -> Outcome {
     let net = subject.build();
     let forms: Option<Vec<_>> = net.connections().iter().map(affine_form).collect();
     let digraph = net.to_digraph();
+    drop(net);
     match baseline_isomorphism(&digraph) {
         Ok(certificate) => {
             let mapping_checksum = certificate.checksum();
@@ -438,8 +443,14 @@ fn classify_one(subject: &Subject) -> Outcome {
 /// worker per available core).
 ///
 /// Subjects are classified by [`ordered_parallel_map`], so outcomes land in
-/// index order and the report is independent of the thread count; the
-/// class-assembly and cross-verification passes are sequential.
+/// index order and the report is independent of the thread count. Class
+/// assembly is one sequential pass in index order. Cross-verification is a
+/// second [`ordered_parallel_map`], over every member of every equivalent
+/// class but its representative: each audit rebuilds the member, composes
+/// its certificate with the representative's and checks the mapping with
+/// [`verify_stage_mapping`]. A worker keeps the representative's digraph of
+/// the class it last audited, so a class costs one representative rebuild
+/// per worker that visits it, not one per member.
 pub fn classify_subjects(
     subjects: &[Subject],
     threads: usize,
@@ -483,32 +494,42 @@ pub fn classify_subjects(
         });
     }
 
-    // Cross-verify every equivalent class: compose each member's
-    // certificate with the representative's and check the mapping.
-    for class in &mut classes {
-        if !class.equivalent || class.members.len() < 2 {
-            continue;
-        }
-        let rep = class.members[0];
-        let rep_digraph = subjects[rep].build().to_digraph();
-        let rep_cert = outcomes[rep]
+    // Cross-verify every equivalent class: rebuild each member, compose its
+    // certificate with the representative's and check the mapping arc by
+    // arc. The audits run in parallel; each worker keeps the digraph of the
+    // representative of the class it last audited.
+    let audits: Vec<(usize, usize)> = classes
+        .iter()
+        .filter(|class| class.equivalent)
+        .flat_map(|class| class.members[1..].iter().map(move |&m| (class.id, m)))
+        .collect();
+    let certificate = |i: usize| {
+        outcomes[i]
             .certificate
             .as_ref()
-            .expect("equivalent subjects carry a certificate");
-        for &member in &class.members[1..] {
-            let member_cert = outcomes[member]
-                .certificate
-                .as_ref()
-                .expect("equivalent subjects carry a certificate");
-            let verified = compose_baseline_certificates(member_cert, rep_cert)
+            .expect("equivalent subjects carry a certificate")
+    };
+    let verdicts = ordered_parallel_map(
+        &audits,
+        threads,
+        || None,
+        |cached: &mut Option<(usize, MiDigraph)>, &(class, member)| {
+            let rep = classes[class].members[0];
+            if cached.as_ref().map(|(id, _)| *id) != Some(class) {
+                *cached = Some((class, subjects[rep].build().to_digraph()));
+            }
+            let rep_digraph = &cached.as_ref().expect("cached above").1;
+            compose_baseline_certificates(certificate(member), certificate(rep))
                 .map(|mapping| {
                     let member_digraph = subjects[member].build().to_digraph();
-                    verify_stage_mapping(&member_digraph, &rep_digraph, &mapping)
+                    verify_stage_mapping(&member_digraph, rep_digraph, &mapping)
                 })
-                .unwrap_or(false);
-            if !verified {
-                class.cross_verified = false;
-            }
+                .unwrap_or(false)
+        },
+    );
+    for (&(class, _), verified) in audits.iter().zip(verdicts) {
+        if !verified {
+            classes[class].cross_verified = false;
         }
     }
 
@@ -623,6 +644,44 @@ mod tests {
         assert_eq!(one.to_json(), auto.to_json());
         let back = ClassificationReport::from_json(&one.to_json()).unwrap();
         assert_eq!(back, one);
+    }
+
+    /// A subject whose builder breaks the determinism contract: Omega on
+    /// the first call, Baseline on every later one. Its first-pass
+    /// certificate is Omega's, so the audit's rebuild must fail to verify.
+    fn flaky_subject(n: usize) -> Subject {
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        let omega = omega_subject(n, 1);
+        let baseline = baseline_subject(n);
+        Subject::new("flaky", n, 0, 0, move || {
+            if calls.fetch_add(1, Ordering::Relaxed) == 0 {
+                omega.build()
+            } else {
+                baseline.build()
+            }
+        })
+    }
+
+    #[test]
+    fn the_parallel_audit_catches_a_non_deterministic_builder() {
+        let mut reports = Vec::new();
+        for threads in [1, 2, 5] {
+            let subjects = vec![
+                baseline_subject(4),
+                omega_subject(4, 0),
+                flaky_subject(4),
+                omega_subject(4, 2),
+                baseline_subject(3),
+                omega_subject(3, 0),
+            ];
+            let report = classify_subjects(&subjects, threads).unwrap();
+            assert_eq!(report.class_count, 2, "threads={threads}");
+            assert_eq!(report.classes[0].members, vec![0, 1, 2, 3]);
+            assert!(!report.classes[0].cross_verified, "threads={threads}");
+            assert!(report.classes[1].cross_verified, "threads={threads}");
+            reports.push(report.to_json());
+        }
+        assert!(reports.iter().all(|json| *json == reports[0]));
     }
 
     #[test]

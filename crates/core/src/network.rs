@@ -83,14 +83,19 @@ impl ConnectionNetwork {
     /// Expands the network into an [`MiDigraph`].
     pub fn to_digraph(&self) -> MiDigraph {
         let cells = self.cells_per_stage();
-        let mut g = MiDigraph::new(self.stages(), cells);
-        for (s, conn) in self.connections.iter().enumerate() {
-            for x in 0..cells as u64 {
-                g.add_arc(s, x as u32, conn.f(x) as u32);
-                g.add_arc(s, x as u32, conn.g(x) as u32);
-            }
-        }
-        g
+        let arcs = self
+            .connections
+            .iter()
+            .enumerate()
+            .flat_map(move |(s, conn)| {
+                (0..cells as u64).flat_map(move |x| {
+                    [
+                        (s, x as u32, conn.f(x) as u32),
+                        (s, x as u32, conn.g(x) as u32),
+                    ]
+                })
+            });
+        MiDigraph::from_arcs(self.stages(), cells, arcs).expect("connections map cells to cells")
     }
 
     /// Recovers a connection network from a digraph whose interior nodes all
@@ -192,10 +197,9 @@ mod tests {
 
     #[test]
     fn from_digraph_rejects_irregular_graphs() {
-        let mut g = MiDigraph::new(2, 2);
-        g.add_arc(0, 0, 0);
+        let g = MiDigraph::from_arcs(2, 2, [(0, 0, 0)]).unwrap();
         assert!(ConnectionNetwork::from_digraph(&g).is_none());
-        let h = MiDigraph::new(2, 3);
+        let h = MiDigraph::from_arcs(2, 3, []).unwrap();
         assert!(
             ConnectionNetwork::from_digraph(&h).is_none(),
             "width must be a power of two"

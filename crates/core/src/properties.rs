@@ -236,7 +236,7 @@ mod tests {
 
     #[test]
     fn report_is_detailed_enough_to_locate_failures() {
-        let g = MiDigraph::new(3, 4); // no arcs at all
+        let g = MiDigraph::from_arcs(3, 4, []).unwrap(); // no arcs at all
         let report = characterization_report(&g);
         assert!(!report.proper_shape);
         assert!(!report.banyan);

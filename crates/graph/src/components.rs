@@ -199,19 +199,19 @@ mod tests {
     /// The 3-stage, width-4 Baseline MI-digraph built by hand:
     /// stage 0 -> 1: v -> { v>>1, (v>>1) | 2 } ; stage 1 -> 2 within halves.
     fn baseline8() -> MiDigraph {
-        let mut g = MiDigraph::new(3, 4);
+        let mut arcs = Vec::new();
         for v in 0..4u32 {
-            g.add_arc(0, v, v >> 1);
-            g.add_arc(0, v, (v >> 1) | 2);
+            arcs.push((0, v, v >> 1));
+            arcs.push((0, v, (v >> 1) | 2));
         }
         for v in 0..4u32 {
             let high = v & 2;
             let low = v & 1;
             let _ = low;
-            g.add_arc(1, v, high);
-            g.add_arc(1, v, high | 1);
+            arcs.push((1, v, high));
+            arcs.push((1, v, high | 1));
         }
-        g
+        MiDigraph::from_arcs(3, 4, arcs).unwrap()
     }
 
     #[test]
@@ -302,7 +302,7 @@ mod tests {
 
     #[test]
     fn disconnected_stages_without_arcs_are_all_singletons() {
-        let g = MiDigraph::new(4, 3);
+        let g = MiDigraph::from_arcs(4, 3, []).unwrap();
         let sweep = prefix_sweep(&g);
         assert_eq!(sweep.counts, vec![3, 6, 9, 12]);
         let sweep = suffix_sweep(&g);

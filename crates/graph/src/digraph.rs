@@ -22,6 +22,30 @@ impl NodeId {
     }
 }
 
+/// Why [`MiDigraph::from_arcs`] refused its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum DigraphError {
+    /// `stages` or `width` is zero.
+    Empty,
+    /// `stages × width` overflows, or there are more arcs than `u32` offsets
+    /// index.
+    TooLarge,
+    /// Arc `(stage, from, to)` leaves the last stage or its stages' nodes.
+    ArcOutOfRange(usize, u32, u32),
+}
+
+impl std::fmt::Display for DigraphError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DigraphError::Empty => write!(f, "zero stages or zero nodes per stage"),
+            DigraphError::TooLarge => write!(f, "too many nodes or arcs"),
+            DigraphError::ArcOutOfRange(s, v, c) => write!(f, "arc ({s}, {v}) -> {c} out of range"),
+        }
+    }
+}
+
+impl std::error::Error for DigraphError {}
+
 /// A multistage interconnection digraph.
 ///
 /// Nodes are partitioned into `stages` ordered stages of `width` nodes each;
@@ -29,34 +53,98 @@ impl NodeId {
 /// (they arise from the degenerate PIPID stages of Fig. 5) and degrees are
 /// not constrained by the data structure — the paper's regularity
 /// requirements are checked by [`MiDigraph::is_proper`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The digraph is frozen: [`MiDigraph::from_arcs`] lays it out once as
+/// compressed sparse rows, one per direction. Node `(s, v)` has flat index
+/// `i = s·width + v` and lists `targets[offsets[i]..offsets[i + 1]]`, all
+/// `u32`. A proper digraph (about two arcs per node) so costs about 12 bytes
+/// per arc, two targets and two offsets per two arcs: 11.5 MiB for
+/// Omega(16)'s 983,040 arcs.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MiDigraph {
     stages: usize,
     width: usize,
-    /// `fwd[s][v]` = children (stage `s+1` indices) of node `v` of stage `s`;
-    /// `fwd.len() == stages - 1`.
-    fwd: Vec<Vec<Vec<u32>>>,
-    /// `bwd[s][v]` = parents (stage `s-1` indices) of node `v` of stage `s`;
-    /// `bwd[0]` is always a vector of empty lists.
-    bwd: Vec<Vec<Vec<u32>>>,
+    /// Children of every node; the last stage's lists are empty.
+    down: Rows,
+    /// Parents of every node; the first stage's lists are empty.
+    up: Rows,
+}
+
+/// One direction of the compressed sparse rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Rows {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+}
+
+impl Rows {
+    fn of(&self, i: usize) -> &[u32] {
+        &self.targets[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+
+    fn sort_each(&mut self) {
+        for w in self.offsets.windows(2) {
+            self.targets[w[0] as usize..w[1] as usize].sort_unstable();
+        }
+    }
 }
 
 impl MiDigraph {
-    /// Creates an MI-digraph with the given number of stages and nodes per
-    /// stage and no arcs.
-    pub fn new(stages: usize, width: usize) -> Self {
-        assert!(stages >= 1, "an MI-digraph needs at least one stage");
-        assert!(width >= 1, "each stage needs at least one node");
-        let fwd = (0..stages.saturating_sub(1))
-            .map(|_| vec![Vec::new(); width])
-            .collect();
-        let bwd = (0..stages).map(|_| vec![Vec::new(); width]).collect();
-        MiDigraph {
+    /// Builds the digraph of `stages` stages of `width` nodes whose arcs are
+    /// `(stage, from, to)`: node `from` of `stage` to node `to` of
+    /// `stage + 1`, parallel arcs kept. A stable counting sort lists every
+    /// node's children and parents in arc order. `arcs` is walked twice, to
+    /// count degrees and to place targets, and must yield the same arcs both
+    /// times.
+    pub fn from_arcs<I>(stages: usize, width: usize, arcs: I) -> Result<MiDigraph, DigraphError>
+    where
+        I: IntoIterator<Item = (usize, u32, u32)>,
+        I::IntoIter: Clone,
+    {
+        let nodes = stages.checked_mul(width).filter(|&n| n < usize::MAX);
+        let nodes = nodes.ok_or(DigraphError::TooLarge)?;
+        if nodes == 0 {
+            return Err(DigraphError::Empty);
+        }
+        let (arcs, at) = (arcs.into_iter(), |s: usize, v: u32| s * width + v as usize);
+        // Count degrees into `offsets[i + 1]` and prefix-sum them into start
+        // offsets; each start then serves as its node's fill cursor.
+        let (mut down, mut up) = (vec![0u32; nodes + 1], vec![0u32; nodes + 1]);
+        let mut total = 0u32;
+        arcs.clone().try_for_each(|(stage, from, to)| {
+            if stage + 1 >= stages || from as usize >= width || to as usize >= width {
+                return Err(DigraphError::ArcOutOfRange(stage, from, to));
+            }
+            total = total.checked_add(1).ok_or(DigraphError::TooLarge)?;
+            down[at(stage, from) + 1] += 1;
+            up[at(stage + 1, to) + 1] += 1;
+            Ok(())
+        })?;
+        for i in 1..=nodes {
+            down[i] += down[i - 1];
+            up[i] += up[i - 1];
+        }
+        let (mut kids, mut parents) = (vec![0; total as usize], vec![0; total as usize]);
+        arcs.for_each(|(stage, from, to)| {
+            let (i, j) = (at(stage, from), at(stage + 1, to));
+            kids[down[i] as usize] = to;
+            parents[up[j] as usize] = from;
+            down[i] += 1;
+            up[j] += 1;
+        });
+        // Every cursor now sits at the next node's start: shift them back.
+        let seal = |mut offsets: Vec<u32>, targets| {
+            offsets.copy_within(0..nodes, 1);
+            offsets[0] = 0;
+            Rows { offsets, targets }
+        };
+        let (down, up) = (seal(down, kids), seal(up, parents));
+        Ok(MiDigraph {
             stages,
             width,
-            fwd,
-            bwd,
-        }
+            down,
+            up,
+        })
     }
 
     /// Number of stages (`n` in the paper).
@@ -76,37 +164,24 @@ impl MiDigraph {
 
     /// Total number of arcs.
     pub fn arc_count(&self) -> usize {
-        self.fwd
-            .iter()
-            .map(|stage| stage.iter().map(Vec::len).sum::<usize>())
-            .sum()
+        self.down.targets.len()
     }
 
-    /// Adds an arc from node `from` of stage `stage` to node `to` of stage
-    /// `stage + 1`. Parallel arcs are permitted.
-    pub fn add_arc(&mut self, stage: usize, from: u32, to: u32) {
-        assert!(
-            stage + 1 < self.stages,
-            "arc source stage {stage} has no successor stage"
-        );
-        assert!((from as usize) < self.width, "source index out of range");
-        assert!((to as usize) < self.width, "target index out of range");
-        self.fwd[stage][from as usize].push(to);
-        self.bwd[stage + 1][to as usize].push(from);
+    /// Flat index of node `v` of stage `stage`.
+    fn node(&self, stage: usize, v: u32) -> usize {
+        let exists = stage < self.stages && (v as usize) < self.width;
+        assert!(exists, "no node ({stage}, {v})");
+        stage * self.width + v as usize
     }
 
     /// Children of node `v` of stage `stage` (empty for the last stage).
     pub fn children(&self, stage: usize, v: u32) -> &[u32] {
-        if stage + 1 >= self.stages {
-            &[]
-        } else {
-            &self.fwd[stage][v as usize]
-        }
+        self.down.of(self.node(stage, v))
     }
 
     /// Parents of node `v` of stage `stage` (empty for the first stage).
     pub fn parents(&self, stage: usize, v: u32) -> &[u32] {
-        &self.bwd[stage][v as usize]
+        self.up.of(self.node(stage, v))
     }
 
     /// Out-degree of a node.
@@ -119,18 +194,17 @@ impl MiDigraph {
         self.parents(stage, v).len()
     }
 
-    /// Iterates over all arcs as `(stage, from, to)` triples.
-    pub fn arcs(&self) -> impl Iterator<Item = (usize, u32, u32)> + '_ {
-        self.fwd.iter().enumerate().flat_map(|(s, stage)| {
-            stage
-                .iter()
-                .enumerate()
-                .flat_map(move |(v, kids)| kids.iter().map(move |&c| (s, v as u32, c)))
+    /// Iterates over all arcs as `(stage, from, to)` triples, by source
+    /// stage, then source node, then child order.
+    pub fn arcs(&self) -> impl Iterator<Item = (usize, u32, u32)> + Clone + '_ {
+        self.nodes().flat_map(move |NodeId { stage, index }| {
+            let kids = self.children(stage, index).iter();
+            kids.map(move |&c| (stage, index, c))
         })
     }
 
     /// Iterates over all node identifiers.
-    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn nodes(&self) -> impl Iterator<Item = NodeId> + Clone + '_ {
         (0..self.stages).flat_map(move |s| (0..self.width as u32).map(move |v| NodeId::new(s, v)))
     }
 
@@ -143,49 +217,31 @@ impl MiDigraph {
     /// that is a property of the *networks*, not of the digraph container,
     /// and is checked by `min-core`.
     pub fn is_proper(&self) -> bool {
-        for s in 0..self.stages {
-            for v in 0..self.width as u32 {
-                if s + 1 < self.stages && self.out_degree(s, v) != 2 {
-                    return false;
-                }
-                if s > 0 && self.in_degree(s, v) != 2 {
-                    return false;
-                }
-            }
-        }
-        true
+        self.nodes().all(|NodeId { stage, index }| {
+            (stage + 1 == self.stages || self.out_degree(stage, index) == 2)
+                && (stage == 0 || self.in_degree(stage, index) == 2)
+        })
     }
 
     /// Returns `true` if some node has two parallel arcs to the same child —
     /// the degenerate situation of Fig. 5 (a PIPID stage with θ⁻¹(0) = 0).
     pub fn has_parallel_arcs(&self) -> bool {
-        for s in 0..self.stages.saturating_sub(1) {
-            for v in 0..self.width {
-                let kids = &self.fwd[s][v];
-                for i in 0..kids.len() {
-                    for j in (i + 1)..kids.len() {
-                        if kids[i] == kids[j] {
-                            return true;
-                        }
-                    }
-                }
-            }
-        }
-        false
+        (0..self.node_count()).any(|i| {
+            let kids = self.down.of(i);
+            (1..kids.len()).any(|j| kids[..j].contains(&kids[j]))
+        })
     }
 
     /// The reverse MI-digraph `G⁻¹`: stages in reverse order and every arc
     /// flipped (the paper's "reverse network", §3).
     pub fn reverse(&self) -> MiDigraph {
-        let mut rev = MiDigraph::new(self.stages, self.width);
-        for (s, from, to) in self.arcs() {
-            // Arc (s, from) -> (s+1, to) becomes, in the reversed stage
-            // order, an arc from stage (stages-2-s) node `to` to stage
-            // (stages-1-s) node `from`.
-            let new_stage = self.stages - 2 - s;
-            rev.add_arc(new_stage, to, from);
-        }
-        rev
+        // Arc (s, from) -> (s+1, to) becomes, in the reversed stage order,
+        // an arc from stage (stages-2-s) node `to` to stage (stages-1-s)
+        // node `from`.
+        let arcs = self
+            .arcs()
+            .map(|(s, from, to)| (self.stages - 2 - s, to, from));
+        MiDigraph::from_arcs(self.stages, self.width, arcs).expect("a valid digraph's arcs")
     }
 
     /// Extracts the sub-digraph induced by the stage interval
@@ -193,15 +249,9 @@ impl MiDigraph {
     /// `hi - lo + 1` stages.
     pub fn slice(&self, lo: usize, hi: usize) -> MiDigraph {
         assert!(lo <= hi && hi < self.stages, "invalid stage interval");
-        let mut out = MiDigraph::new(hi - lo + 1, self.width);
-        for s in lo..hi {
-            for v in 0..self.width as u32 {
-                for &c in self.children(s, v) {
-                    out.add_arc(s - lo, v, c);
-                }
-            }
-        }
-        out
+        let arcs = self.arcs().filter(|&(s, ..)| (lo..hi).contains(&s));
+        let arcs = arcs.map(|(s, from, to)| (s - lo, from, to));
+        MiDigraph::from_arcs(hi - lo + 1, self.width, arcs).expect("a valid digraph's arcs")
     }
 
     /// Relabels the nodes of every stage according to `mapping`
@@ -213,48 +263,32 @@ impl MiDigraph {
             assert_eq!(m.len(), self.width, "each map must cover the stage");
             let mut seen = vec![false; self.width];
             for &t in m {
-                assert!(
-                    (t as usize) < self.width && !seen[t as usize],
-                    "not a bijection"
-                );
+                let fresh = (t as usize) < self.width && !seen[t as usize];
+                assert!(fresh, "not a bijection");
                 seen[t as usize] = true;
             }
         }
-        let mut out = MiDigraph::new(self.stages, self.width);
-        for (s, from, to) in self.arcs() {
-            out.add_arc(s, mapping[s][from as usize], mapping[s + 1][to as usize]);
-        }
-        out
+        let image = |s: usize, v: u32| mapping[s][v as usize];
+        let arcs = self
+            .arcs()
+            .map(|(s, f, t)| (s, image(s, f), image(s + 1, t)));
+        MiDigraph::from_arcs(self.stages, self.width, arcs).expect("a valid digraph's arcs")
     }
 
-    /// Sorts every adjacency list; after normalization, two digraphs that
-    /// contain the same arcs compare equal with `==` regardless of insertion
-    /// order.
+    /// Sorts every adjacency list in place; after normalization, two
+    /// digraphs that contain the same arcs compare equal with `==`
+    /// regardless of insertion order.
     pub fn normalize(&mut self) {
-        for stage in &mut self.fwd {
-            for kids in stage {
-                kids.sort_unstable();
-            }
-        }
-        for stage in &mut self.bwd {
-            for parents in stage {
-                parents.sort_unstable();
-            }
-        }
-    }
-
-    /// Returns a normalized copy (see [`MiDigraph::normalize`]).
-    pub fn normalized(&self) -> MiDigraph {
-        let mut c = self.clone();
-        c.normalize();
-        c
+        self.down.sort_each();
+        self.up.sort_each();
     }
 
     /// Structural equality up to arc order.
     pub fn same_arcs(&self, other: &MiDigraph) -> bool {
-        self.stages == other.stages
-            && self.width == other.width
-            && self.normalized() == other.normalized()
+        let (mut a, mut b) = (self.clone(), other.clone());
+        a.normalize();
+        b.normalize();
+        a == b
     }
 }
 
@@ -262,20 +296,14 @@ impl MiDigraph {
 mod tests {
     use super::*;
 
-    /// A tiny 3-stage, width-4 butterfly-like graph used by several tests.
+    /// A tiny 3-stage, width-4 butterfly-like graph used by several tests:
+    /// stage 0 node v -> {v, v ^ 2}, stage 1 node v -> {v, v ^ 1}.
     fn sample() -> MiDigraph {
-        let mut g = MiDigraph::new(3, 4);
-        // stage 0 -> 1: node v -> {v, v ^ 2}
-        for v in 0..4u32 {
-            g.add_arc(0, v, v);
-            g.add_arc(0, v, v ^ 2);
-        }
-        // stage 1 -> 2: node v -> {v, v ^ 1}
-        for v in 0..4u32 {
-            g.add_arc(1, v, v);
-            g.add_arc(1, v, v ^ 1);
-        }
-        g
+        let arcs = (0..2usize).flat_map(|s| {
+            let bit = if s == 0 { 2 } else { 1 };
+            (0..4u32).flat_map(move |v| [(s, v, v), (s, v, v ^ bit)])
+        });
+        MiDigraph::from_arcs(3, 4, arcs).unwrap()
     }
 
     #[test]
@@ -299,21 +327,25 @@ mod tests {
     }
 
     #[test]
+    fn adjacency_keeps_arc_order() {
+        let g = MiDigraph::from_arcs(2, 3, [(0, 2, 1), (0, 0, 2), (0, 2, 0), (0, 1, 1)]).unwrap();
+        assert_eq!(g.children(0, 2), &[1, 0]);
+        assert_eq!(g.parents(1, 1), &[2, 1]);
+        let arcs: Vec<_> = g.arcs().collect();
+        assert_eq!(arcs, vec![(0, 0, 2), (0, 1, 1), (0, 2, 1), (0, 2, 0)]);
+    }
+
+    #[test]
     fn degrees_and_properness() {
         let g = sample();
         assert!(g.is_proper());
-        let mut h = MiDigraph::new(3, 4);
-        h.add_arc(0, 0, 0);
+        let h = MiDigraph::from_arcs(3, 4, [(0, 0, 0)]).unwrap();
         assert!(!h.is_proper());
     }
 
     #[test]
     fn parallel_arcs_are_representable_and_detected() {
-        let mut g = MiDigraph::new(2, 2);
-        g.add_arc(0, 0, 1);
-        g.add_arc(0, 0, 1);
-        g.add_arc(0, 1, 0);
-        g.add_arc(0, 1, 0);
+        let g = MiDigraph::from_arcs(2, 2, [(0, 0, 1), (0, 0, 1), (0, 1, 0), (0, 1, 0)]).unwrap();
         assert!(g.has_parallel_arcs());
         assert!(g.is_proper(), "degree-wise the graph is still 2-regular");
         assert!(!sample().has_parallel_arcs());
@@ -368,14 +400,13 @@ mod tests {
 
     #[test]
     fn same_arcs_ignores_insertion_order() {
-        let mut a = MiDigraph::new(2, 2);
-        a.add_arc(0, 0, 0);
-        a.add_arc(0, 0, 1);
-        let mut b = MiDigraph::new(2, 2);
-        b.add_arc(0, 0, 1);
-        b.add_arc(0, 0, 0);
+        let a = MiDigraph::from_arcs(2, 2, [(0, 0, 0), (0, 0, 1)]).unwrap();
+        let b = MiDigraph::from_arcs(2, 2, [(0, 0, 1), (0, 0, 0)]).unwrap();
         assert!(a.same_arcs(&b));
         assert_ne!(a, b, "raw equality is order-sensitive by design");
+        let mut c = b.clone();
+        c.normalize();
+        assert_eq!(a, c, "normalize sorts every list in place");
     }
 
     #[test]
@@ -386,9 +417,41 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no successor stage")]
-    fn adding_arc_from_last_stage_panics() {
-        let mut g = MiDigraph::new(2, 2);
-        g.add_arc(1, 0, 0);
+    fn invalid_shapes_are_errors() {
+        let none = std::iter::empty();
+        assert_eq!(
+            MiDigraph::from_arcs(0, 4, none.clone()),
+            Err(DigraphError::Empty)
+        );
+        assert_eq!(
+            MiDigraph::from_arcs(3, 0, none.clone()),
+            Err(DigraphError::Empty)
+        );
+        assert_eq!(
+            MiDigraph::from_arcs(usize::MAX, 2, none.clone()),
+            Err(DigraphError::TooLarge)
+        );
+        assert_eq!(
+            MiDigraph::from_arcs(1, usize::MAX, none),
+            Err(DigraphError::TooLarge)
+        );
+        assert!(!DigraphError::Empty.to_string().is_empty());
+    }
+
+    #[test]
+    fn out_of_range_arcs_are_errors() {
+        let from_last = MiDigraph::from_arcs(2, 2, [(0, 0, 1), (1, 0, 0)]);
+        assert_eq!(from_last, Err(DigraphError::ArcOutOfRange(1, 0, 0)));
+        let bad_source = MiDigraph::from_arcs(2, 2, [(0, 2, 0)]);
+        assert_eq!(bad_source, Err(DigraphError::ArcOutOfRange(0, 2, 0)));
+        let bad_target = MiDigraph::from_arcs(2, 2, [(0, 0, 2)]);
+        assert_eq!(bad_target, Err(DigraphError::ArcOutOfRange(0, 0, 2)));
+        assert!(bad_target.unwrap_err().to_string().contains("out of range"));
+    }
+
+    #[test]
+    #[should_panic(expected = "no node")]
+    fn out_of_range_nodes_panic() {
+        let _ = sample().children(0, 4);
     }
 }

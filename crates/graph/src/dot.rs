@@ -78,12 +78,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> MiDigraph {
-        let mut g = MiDigraph::new(2, 2);
-        g.add_arc(0, 0, 0);
-        g.add_arc(0, 0, 1);
-        g.add_arc(0, 1, 0);
-        g.add_arc(0, 1, 1);
-        g
+        MiDigraph::from_arcs(2, 2, [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)]).unwrap()
     }
 
     #[test]

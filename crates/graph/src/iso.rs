@@ -252,23 +252,23 @@ mod tests {
     use super::*;
 
     fn baseline8() -> MiDigraph {
-        let mut g = MiDigraph::new(3, 4);
+        let mut arcs = Vec::new();
         for v in 0..4u32 {
-            g.add_arc(0, v, v >> 1);
-            g.add_arc(0, v, (v >> 1) | 2);
+            arcs.push((0, v, v >> 1));
+            arcs.push((0, v, (v >> 1) | 2));
         }
         for v in 0..4u32 {
             let high = v & 2;
-            g.add_arc(1, v, high);
-            g.add_arc(1, v, high | 1);
+            arcs.push((1, v, high));
+            arcs.push((1, v, high | 1));
         }
-        g
+        MiDigraph::from_arcs(3, 4, arcs).unwrap()
     }
 
     /// The width-4 "Omega-like" digraph: stage connection = perfect shuffle
     /// based wiring; known to be isomorphic to the Baseline.
     fn omega8() -> MiDigraph {
-        let mut g = MiDigraph::new(3, 4);
+        let mut arcs = Vec::new();
         // Children of cell x under a shuffle inter-stage connection on
         // 8 links: child = ((2x + b) * 2 + carry) truncated — computed
         // directly: link = 2x+b, shuffled = circular-left-shift_3(link),
@@ -279,11 +279,11 @@ mod tests {
                 for b in 0..2u32 {
                     let link = 2 * x + b;
                     let child = shuffle3(link) >> 1;
-                    g.add_arc(s, x, child);
+                    arcs.push((s, x, child));
                 }
             }
         }
-        g
+        MiDigraph::from_arcs(3, 4, arcs).unwrap()
     }
 
     #[test]
@@ -325,13 +325,14 @@ mod tests {
     #[test]
     fn parallel_arc_graph_is_not_isomorphic_to_baseline() {
         let g = baseline8();
-        let mut h = MiDigraph::new(3, 4);
+        let mut arcs = Vec::new();
         for v in 0..4u32 {
-            h.add_arc(0, v, v);
-            h.add_arc(0, v, v);
-            h.add_arc(1, v, v);
-            h.add_arc(1, v, v ^ 1);
+            arcs.push((0, v, v));
+            arcs.push((0, v, v));
+            arcs.push((1, v, v));
+            arcs.push((1, v, v ^ 1));
         }
+        let h = MiDigraph::from_arcs(3, 4, arcs).unwrap();
         let outcome = find_isomorphism(&g, &h, 1_000_000);
         assert_eq!(outcome, IsoSearchOutcome::NotIsomorphic);
     }
@@ -339,8 +340,7 @@ mod tests {
     #[test]
     fn arc_count_mismatch_short_circuits() {
         let g = baseline8();
-        let mut h = baseline8();
-        h.add_arc(0, 0, 0);
+        let h = MiDigraph::from_arcs(3, 4, baseline8().arcs().chain([(0, 0, 0)])).unwrap();
         assert_eq!(
             find_isomorphism(&g, &h, 10),
             IsoSearchOutcome::NotIsomorphic

@@ -9,9 +9,10 @@
 //!
 //! This crate is the graph substrate for the whole workspace:
 //!
-//! * [`MiDigraph`] — the staged digraph itself (forward and backward
-//!   adjacency, degree queries, regularity checks, reverse graph,
-//!   sub-range views). It is deliberately more permissive than the paper's
+//! * [`MiDigraph`] — the staged digraph itself (frozen forward and
+//!   backward adjacency in compressed sparse rows, built once by
+//!   [`MiDigraph::from_arcs`]; degree queries, regularity checks, reverse
+//!   graph, sub-range views). It is deliberately more permissive than the paper's
 //!   definition (arbitrary degrees, parallel arcs, any width) so that the
 //!   degenerate objects the paper discusses — the Fig. 5 parallel-link
 //!   stage, non-Banyan graphs, counterexamples — can be represented and
@@ -47,7 +48,7 @@ pub use components::{
     component_count_range, component_ids_range, prefix_sweep, suffix_sweep, RangeComponents,
     StageComponentIds, SweepResult,
 };
-pub use digraph::{MiDigraph, NodeId};
+pub use digraph::{DigraphError, MiDigraph, NodeId};
 pub use iso::{find_isomorphism, verify_stage_mapping, IsoSearchOutcome, StageMapping};
 pub use paths::{is_banyan, path_counts_from, reachable_per_stage};
 pub use union_find::UnionFind;

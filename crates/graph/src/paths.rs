@@ -167,32 +167,26 @@ mod tests {
     use super::*;
 
     fn baseline8() -> MiDigraph {
-        let mut g = MiDigraph::new(3, 4);
+        let mut arcs = Vec::new();
         for v in 0..4u32 {
-            g.add_arc(0, v, v >> 1);
-            g.add_arc(0, v, (v >> 1) | 2);
+            arcs.push((0, v, v >> 1));
+            arcs.push((0, v, (v >> 1) | 2));
         }
         for v in 0..4u32 {
             let high = v & 2;
-            g.add_arc(1, v, high);
-            g.add_arc(1, v, high | 1);
+            arcs.push((1, v, high));
+            arcs.push((1, v, high | 1));
         }
-        g
+        MiDigraph::from_arcs(3, 4, arcs).unwrap()
     }
 
     /// A graph where two paths converge: both stage-0 nodes send both arcs
     /// to the same pair, and stage 1 funnels into node 0.
     fn convergent() -> MiDigraph {
-        let mut g = MiDigraph::new(3, 2);
-        g.add_arc(0, 0, 0);
-        g.add_arc(0, 0, 1);
-        g.add_arc(0, 1, 0);
-        g.add_arc(0, 1, 1);
-        g.add_arc(1, 0, 0);
-        g.add_arc(1, 0, 0); // parallel arcs -> 2 paths to node 0
-        g.add_arc(1, 1, 1);
-        g.add_arc(1, 1, 1);
-        g
+        let stage0 = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)];
+        // Parallel arcs -> 2 paths to node 0.
+        let stage1 = [(1, 0, 0), (1, 0, 0), (1, 1, 1), (1, 1, 1)];
+        MiDigraph::from_arcs(3, 2, stage0.into_iter().chain(stage1)).unwrap()
     }
 
     #[test]
@@ -219,12 +213,8 @@ mod tests {
 
     #[test]
     fn missing_arcs_yield_no_path_violation() {
-        let mut g = MiDigraph::new(3, 2);
         // Only connect node 0 forward; node 1 of stage 0 is a dead end.
-        g.add_arc(0, 0, 0);
-        g.add_arc(0, 0, 1);
-        g.add_arc(1, 0, 0);
-        g.add_arc(1, 1, 1);
+        let g = MiDigraph::from_arcs(3, 2, [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 1, 1)]).unwrap();
         let v = banyan_violation(&g).unwrap();
         assert!(matches!(v, BanyanViolation::NoPath(1, _)));
         assert!(!is_banyan(&g));
@@ -249,8 +239,7 @@ mod tests {
 
     #[test]
     fn unique_path_returns_none_when_unreachable() {
-        let mut g = MiDigraph::new(2, 2);
-        g.add_arc(0, 0, 0);
+        let g = MiDigraph::from_arcs(2, 2, [(0, 0, 0)]).unwrap();
         assert!(unique_path(&g, 0, 1).is_none());
         assert!(unique_path(&g, 1, 1).is_none());
         assert_eq!(unique_path(&g, 0, 0), Some(vec![0, 0]));
@@ -258,7 +247,7 @@ mod tests {
 
     #[test]
     fn single_stage_graph_is_trivially_banyan_on_diagonal_only() {
-        let g = MiDigraph::new(1, 4);
+        let g = MiDigraph::from_arcs(1, 4, []).unwrap();
         // With one stage there are no arcs; each node reaches only itself.
         assert_eq!(path_counts_from(&g, 2), vec![0, 0, 1, 0]);
         assert!(!is_banyan(&g), "off-diagonal pairs have no path");

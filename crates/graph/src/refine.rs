@@ -144,14 +144,12 @@ pub fn refinement_compatible(g: &MiDigraph, h: &MiDigraph) -> bool {
         return false;
     }
     // Refine the disjoint union so colour names are comparable.
-    let mut union = MiDigraph::new(g.stages(), g.width() + h.width());
-    for (s, from, to) in g.arcs() {
-        union.add_arc(s, from, to);
-    }
     let offset = g.width() as u32;
-    for (s, from, to) in h.arcs() {
-        union.add_arc(s, from + offset, to + offset);
-    }
+    let arcs = g
+        .arcs()
+        .chain(h.arcs().map(|(s, v, c)| (s, v + offset, c + offset)));
+    let union = MiDigraph::from_arcs(g.stages(), g.width() + h.width(), arcs)
+        .expect("two digraphs of one shape side by side");
     let coloring = color_refinement(&union);
     for s in 0..g.stages() {
         let mut hg: HashMap<u32, i64> = HashMap::new();
@@ -173,17 +171,17 @@ mod tests {
     use super::*;
 
     fn baseline8() -> MiDigraph {
-        let mut g = MiDigraph::new(3, 4);
+        let mut arcs = Vec::new();
         for v in 0..4u32 {
-            g.add_arc(0, v, v >> 1);
-            g.add_arc(0, v, (v >> 1) | 2);
+            arcs.push((0, v, v >> 1));
+            arcs.push((0, v, (v >> 1) | 2));
         }
         for v in 0..4u32 {
             let high = v & 2;
-            g.add_arc(1, v, high);
-            g.add_arc(1, v, high | 1);
+            arcs.push((1, v, high));
+            arcs.push((1, v, high | 1));
         }
-        g
+        MiDigraph::from_arcs(3, 4, arcs).unwrap()
     }
 
     #[test]
@@ -208,11 +206,8 @@ mod tests {
 
     #[test]
     fn irregular_nodes_get_split() {
-        let mut g = MiDigraph::new(2, 3);
-        g.add_arc(0, 0, 0);
-        g.add_arc(0, 0, 1);
-        g.add_arc(0, 1, 1);
         // node 2 of stage 0 has out-degree 0 and must receive its own colour.
+        let g = MiDigraph::from_arcs(2, 3, [(0, 0, 0), (0, 0, 1), (0, 1, 1)]).unwrap();
         let c = color_refinement(&g);
         assert_ne!(c.colors[0][0], c.colors[0][2]);
         assert_ne!(c.colors[0][1], c.colors[0][2]);
@@ -230,21 +225,23 @@ mod tests {
     #[test]
     fn incompatible_graphs_fail_the_filter() {
         let g = baseline8();
-        let mut h = MiDigraph::new(3, 4);
         // Same number of arcs per stage overall, but an irregular degree
         // distribution (one node of out-degree 3, one of out-degree 1).
-        h.add_arc(0, 0, 0);
-        h.add_arc(0, 0, 1);
-        h.add_arc(0, 0, 2);
-        h.add_arc(0, 1, 3);
-        h.add_arc(0, 2, 0);
-        h.add_arc(0, 2, 1);
-        h.add_arc(0, 3, 2);
-        h.add_arc(0, 3, 3);
+        let mut arcs = vec![
+            (0, 0, 0),
+            (0, 0, 1),
+            (0, 0, 2),
+            (0, 1, 3),
+            (0, 2, 0),
+            (0, 2, 1),
+            (0, 3, 2),
+            (0, 3, 3),
+        ];
         for v in 0..4u32 {
-            h.add_arc(1, v, v);
-            h.add_arc(1, v, v ^ 1);
+            arcs.push((1, v, v));
+            arcs.push((1, v, v ^ 1));
         }
+        let h = MiDigraph::from_arcs(3, 4, arcs).unwrap();
         assert!(!refinement_compatible(&g, &h));
     }
 
@@ -255,22 +252,23 @@ mod tests {
         // 2-in/2-out regular and stage-monochromatic. The exact search in
         // `iso` is what separates them; here we only document the weakness.
         let g = baseline8();
-        let mut h = MiDigraph::new(3, 4);
+        let mut arcs = Vec::new();
         for v in 0..4u32 {
-            h.add_arc(0, v, v);
-            h.add_arc(0, v, v);
-            h.add_arc(1, v, v);
-            h.add_arc(1, v, v ^ 1);
+            arcs.push((0, v, v));
+            arcs.push((0, v, v));
+            arcs.push((1, v, v));
+            arcs.push((1, v, v ^ 1));
         }
+        let h = MiDigraph::from_arcs(3, 4, arcs).unwrap();
         assert!(refinement_compatible(&g, &h));
     }
 
     #[test]
     fn size_mismatch_is_incompatible() {
         let g = baseline8();
-        let h = MiDigraph::new(3, 8);
+        let h = MiDigraph::from_arcs(3, 8, []).unwrap();
         assert!(!refinement_compatible(&g, &h));
-        let k = MiDigraph::new(4, 4);
+        let k = MiDigraph::from_arcs(4, 4, []).unwrap();
         assert!(!refinement_compatible(&g, &k));
     }
 }

@@ -1,9 +1,10 @@
 //! Compact text serialization of MI-digraphs.
 //!
-//! [`MiDigraph`] also derives `serde::{Serialize, Deserialize}` for JSON and
-//! friends; the format here is a minimal, human-readable line format that is
-//! convenient for golden-file tests and for pasting networks into issue
-//! reports:
+//! [`MiDigraph`] also implements `serde::{Serialize, Deserialize}` for JSON
+//! and friends, as `{"stages": n, "width": w, "arcs": [[stage, from, to], …]}`
+//! in arc order. The text format is a minimal, human-readable line format
+//! that is convenient for golden-file tests and for pasting networks into
+//! bug reports:
 //!
 //! ```text
 //! mi-digraph v1 stages=3 width=4
@@ -14,9 +15,27 @@
 //!
 //! Each arc line is `STAGE FROM -> CHILD CHILD …` (children of one node on a
 //! single line, omitted when the node has none).
+//!
+//! Both readers take untrusted input: they build the digraph through
+//! [`MiDigraph::from_arcs`], which checks every arc, and refuse more than
+//! [`MAX_NODES`] nodes before anything is allocated for them.
 
 use crate::digraph::MiDigraph;
+use serde::{map_get, Deserialize, Error, Serialize, Value};
 use std::fmt::Write as _;
+
+/// The most nodes (`stages × width`) [`from_text`] and `Deserialize` accept:
+/// 2^24, 32× the largest catalog digraph (Omega(16), 16 × 2^15 = 2^19
+/// nodes). A hostile header so allocates at most two 64 MiB offset arrays.
+pub const MAX_NODES: usize = 1 << 24;
+
+/// Refuses zero-sized and oversized shapes before anything is allocated.
+fn check_size(stages: usize, width: usize) -> Result<(), String> {
+    match stages.checked_mul(width) {
+        Some(1..=MAX_NODES) => Ok(()),
+        _ => Err(format!("stages × width must be 1 ..= {MAX_NODES}")),
+    }
+}
 
 /// Error produced when parsing the text format.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -86,7 +105,8 @@ pub fn from_text(text: &str) -> Result<MiDigraph, ParseError> {
     }
     let stages = stages.ok_or_else(|| header_err("missing stages="))?;
     let width = width.ok_or_else(|| header_err("missing width="))?;
-    let mut g = MiDigraph::new(stages, width);
+    check_size(stages, width).map_err(|msg| header_err(&msg))?;
+    let mut arcs = Vec::new();
     for (idx, line) in lines {
         let line_no = idx + 1;
         let line = line.trim();
@@ -117,10 +137,48 @@ pub fn from_text(text: &str) -> Result<MiDigraph, ParseError> {
             if (c as usize) >= width {
                 return Err(err("child out of range"));
             }
-            g.add_arc(s, v, c);
+            arcs.push((s, v, c));
         }
     }
-    Ok(g)
+    MiDigraph::from_arcs(stages, width, arcs.iter().copied())
+        .map_err(|e| header_err(&e.to_string()))
+}
+
+impl Serialize for MiDigraph {
+    fn to_value(&self) -> Value {
+        let arc = |(s, v, c): (usize, u32, u32)| {
+            Value::Seq(vec![s.to_value(), v.to_value(), c.to_value()])
+        };
+        Value::Map(vec![
+            ("stages".into(), self.stages().to_value()),
+            ("width".into(), self.width().to_value()),
+            ("arcs".into(), Value::Seq(self.arcs().map(arc).collect())),
+        ])
+    }
+}
+
+impl Deserialize for MiDigraph {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let map = v
+            .as_map()
+            .ok_or_else(|| Error::custom("expected an MI-digraph map"))?;
+        let stages = usize::from_value(map_get(map, "stages")?)?;
+        let width = usize::from_value(map_get(map, "width")?)?;
+        check_size(stages, width).map_err(Error::custom)?;
+        let arcs = map_get(map, "arcs")?
+            .as_seq()
+            .ok_or_else(|| Error::custom("expected arcs"))?;
+        let arc = |a: &Value| match a.as_seq() {
+            Some([s, v, c]) => Ok((
+                usize::from_value(s)?,
+                u32::from_value(v)?,
+                u32::from_value(c)?,
+            )),
+            _ => Err(Error::custom("an arc is [stage, from, to]")),
+        };
+        let arcs = arcs.iter().map(arc).collect::<Result<Vec<_>, _>>()?;
+        MiDigraph::from_arcs(stages, width, arcs.iter().copied()).map_err(Error::custom)
+    }
 }
 
 #[cfg(test)]
@@ -128,17 +186,9 @@ mod tests {
     use super::*;
 
     fn baseline8() -> MiDigraph {
-        let mut g = MiDigraph::new(3, 4);
-        for v in 0..4u32 {
-            g.add_arc(0, v, v >> 1);
-            g.add_arc(0, v, (v >> 1) | 2);
-        }
-        for v in 0..4u32 {
-            let high = v & 2;
-            g.add_arc(1, v, high);
-            g.add_arc(1, v, high | 1);
-        }
-        g
+        let arcs = (0..4u32).flat_map(|v| [(0, v, v >> 1), (0, v, (v >> 1) | 2)]);
+        let arcs = arcs.chain((0..4u32).flat_map(|v| [(1, v, v & 2), (1, v, (v & 2) | 1)]));
+        MiDigraph::from_arcs(3, 4, arcs).unwrap()
     }
 
     #[test]
@@ -165,6 +215,23 @@ mod tests {
     }
 
     #[test]
+    fn hostile_headers_are_errors_not_panics() {
+        for header in [
+            "mi-digraph v1 stages=0 width=4",
+            "mi-digraph v1 stages=3 width=0",
+            "mi-digraph v1 stages=4097 width=4096",
+            "mi-digraph v1 stages=18446744073709551615 width=2",
+        ] {
+            let err = from_text(&format!("{header}\n0 0 -> 0\n")).unwrap_err();
+            assert_eq!(err.line, 1, "{header}: {err}");
+            assert!(err.message.contains("stages × width"), "{header}: {err}");
+        }
+        // The cap itself is accepted.
+        assert_eq!(check_size(1, MAX_NODES), Ok(()));
+        assert_eq!(check_size(MAX_NODES, 1), Ok(()));
+    }
+
+    #[test]
     fn body_errors_carry_line_numbers() {
         let text = "mi-digraph v1 stages=2 width=2\n0 0 -> 9\n";
         let err = from_text(text).unwrap_err();
@@ -181,5 +248,30 @@ mod tests {
         let json = serde_json::to_string(&g).unwrap();
         let back: MiDigraph = serde_json::from_str(&json).unwrap();
         assert_eq!(g, back);
+        // Arc order survives, not just the arc set.
+        let shuffled = MiDigraph::from_arcs(2, 2, [(0, 1, 0), (0, 0, 1), (0, 1, 1)]).unwrap();
+        let json = serde_json::to_string(&shuffled).unwrap();
+        assert_eq!(serde_json::from_str::<MiDigraph>(&json).unwrap(), shuffled);
+    }
+
+    #[test]
+    fn malformed_json_is_an_error_not_a_panic() {
+        for json in [
+            // A CSR layout is never read from input, so offsets past the
+            // end of their target array have nothing to point into.
+            r#"{"stages":2,"width":2,"down":{"offsets":[0,9,9,9,9],"targets":[]}}"#,
+            r#"{"stages":2,"width":2,"arcs":[[0,0,2]]}"#,
+            r#"{"stages":2,"width":2,"arcs":[[0,2,0]]}"#,
+            r#"{"stages":2,"width":2,"arcs":[[1,0,0]]}"#,
+            r#"{"stages":2,"width":2,"arcs":[[0,0]]}"#,
+            r#"{"stages":2,"width":2,"arcs":[[0,0,-1]]}"#,
+            r#"{"stages":2,"width":2,"arcs":{}}"#,
+            r#"{"stages":0,"width":2,"arcs":[]}"#,
+            r#"{"stages":2,"width":0,"arcs":[]}"#,
+            r#"{"stages":1048576,"width":1048576,"arcs":[]}"#,
+            r#"[2,2]"#,
+        ] {
+            assert!(serde_json::from_str::<MiDigraph>(json).is_err(), "{json}");
+        }
     }
 }

@@ -78,30 +78,16 @@ fn build_digraph_except(
     drop_cell: impl Fn(usize, u32) -> bool,
 ) -> MiDigraph {
     let cells = net.cells_per_stage();
-    let mut g = MiDigraph::new(net.stages(), cells);
-    for s in 0..net.stages() - 1 {
-        let conn = net.connection(s);
-        for v in 0..cells as u32 {
-            if drop_cell(s, v) {
-                continue;
-            }
-            for port in 0..2u8 {
-                if drop_link(s, v, port) {
-                    continue;
-                }
-                let to = if port == 0 {
-                    conn.f(u64::from(v))
-                } else {
-                    conn.g(u64::from(v))
-                } as u32;
-                if drop_cell(s + 1, to) {
-                    continue;
-                }
-                g.add_arc(s, v, to);
-            }
-        }
-    }
-    g
+    let links = (0..net.stages() - 1)
+        .flat_map(|s| (0..cells as u32).flat_map(move |v| (0..2u8).map(move |port| (s, v, port))));
+    let arcs = links
+        .filter(|&(s, v, port)| !drop_cell(s, v) && !drop_link(s, v, port))
+        .map(|(s, v, port)| {
+            let to = net.connection(s).children(u64::from(v))[usize::from(port)];
+            (s, v, to as u32)
+        })
+        .filter(|&(s, _, to)| !drop_cell(s + 1, to));
+    MiDigraph::from_arcs(net.stages(), cells, arcs).expect("a subset of the network's arcs")
 }
 
 /// A copy of `net` whose cell at `(stage, cell)` is stuck in one switching

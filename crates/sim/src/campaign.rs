@@ -201,7 +201,8 @@ impl CampaignConfig {
     }
 
     /// Checks the grid for structural problems (empty axes, unbuildable
-    /// stage counts, out-of-range loads, invalid buffer parameters, a
+    /// stage counts, out-of-range loads, invalid buffer parameters or a
+    /// buffer over [`crate::MAX_FABRIC_SLOTS`] in some grid cell, a
     /// zero-cycle run).
     pub fn validate(&self) -> Result<(), CampaignError> {
         if self.cells.is_empty() {
@@ -241,7 +242,10 @@ impl CampaignConfig {
             return Err(CampaignError::EmptyAxis("buffer_modes"));
         }
         for mode in &self.buffer_modes {
-            mode.validate().map_err(CampaignError::InvalidBuffer)?;
+            for spec in &self.cells {
+                mode.validate_for(spec.stages(), spec.cells_per_stage())
+                    .map_err(CampaignError::InvalidBuffer)?;
+            }
         }
         if self.fault_plans.is_empty() {
             return Err(CampaignError::EmptyAxis("fault_plans"));
@@ -1315,6 +1319,19 @@ mod tests {
                 "{mode:?}"
             );
         }
+        // Each parameter is in range, but one Omega(12) fabric of them would
+        // hold 3.2 G slots: the grid is refused, and a small cell is not.
+        let fifo = BufferMode::Fifo(crate::MAX_BUFFER_PARAMETER);
+        let omega12: Vec<NetworkSpec> = serde_json::from_str(r#"[["Omega",12]]"#).unwrap();
+        assert!(matches!(
+            tiny().with_cells(omega12).with_buffer(fifo).validate(),
+            Err(CampaignError::InvalidBuffer(ConfigError::FabricTooLarge {
+                stages: 12,
+                cells: 2048,
+                ..
+            }))
+        ));
+        assert_eq!(tiny().with_buffer(fifo).validate(), Ok(()));
         assert_eq!(
             tiny().with_replications(0).scenarios().unwrap_err(),
             CampaignError::EmptyAxis("replications")

@@ -60,6 +60,31 @@ impl BufferMode {
             }
         }
     }
+
+    /// [`BufferMode::validate`], then the fabric budget: a fabric of
+    /// `stages × cells` cells in this mode may hold at most
+    /// [`MAX_FABRIC_SLOTS`] buffer slots in all. A cell holds the two
+    /// crossbar slots of an unbuffered cell, `2 · depth` FIFO entries, or
+    /// `lanes × lane_depth` flit slots.
+    pub fn validate_for(&self, stages: usize, cells: usize) -> Result<(), ConfigError> {
+        self.validate()?;
+        let per_cell = match *self {
+            BufferMode::Unbuffered => 2,
+            BufferMode::Fifo(depth) => depth.saturating_mul(2),
+            BufferMode::Wormhole {
+                lanes, lane_depth, ..
+            } => lanes.saturating_mul(lane_depth),
+        };
+        let slots = stages.saturating_mul(cells).saturating_mul(per_cell);
+        if slots > MAX_FABRIC_SLOTS {
+            return Err(ConfigError::FabricTooLarge {
+                stages,
+                cells,
+                slots,
+            });
+        }
+        Ok(())
+    }
 }
 
 /// Largest accepted buffer-mode parameter (FIFO depth, wormhole lanes, lane
@@ -68,6 +93,15 @@ impl BufferMode {
 /// power-of-two padding and flit count they derive from one parameter in
 /// range.
 pub const MAX_BUFFER_PARAMETER: usize = 1 << 16;
+
+/// Largest buffer one fabric may hold, in slots summed over every cell (see
+/// [`BufferMode::validate_for`]): 2^26 slots. Parameters that are each in range
+/// can still multiply out of memory — `Fifo(65536)` on Omega(12) asks for
+/// 12 × 2048 × 131072 ≈ 3.2 G slots, about 48 GiB — so the product is
+/// checked before any core allocates. The grids of the examples, tests and
+/// benchmark need a few thousand slots; `Fifo(4)` on Omega(16) (4.2 M) and
+/// an unbuffered Omega(20) (21 M) still fit.
+pub const MAX_FABRIC_SLOTS: usize = 1 << 26;
 
 fn bounded(parameter: &'static str, value: usize) -> Result<(), ConfigError> {
     if value == 0 {
@@ -101,6 +135,16 @@ pub enum ConfigError {
         /// The rejected value.
         value: usize,
     },
+    /// The buffer mode would make the fabric hold more than
+    /// [`MAX_FABRIC_SLOTS`] slots.
+    FabricTooLarge {
+        /// Stages of the fabric.
+        stages: usize,
+        /// Cells per stage.
+        cells: usize,
+        /// Slots the fabric would hold (saturating).
+        slots: usize,
+    },
     /// The traffic pattern is invalid (non-finite hot-spot fraction,
     /// malformed permutation or trace, …) — rejected here instead of
     /// asserting at draw time in the injection hot path.
@@ -121,6 +165,15 @@ impl std::fmt::Display for ConfigError {
             ConfigError::ParameterTooLarge { parameter, value } => write!(
                 f,
                 "{parameter} {value} exceeds the maximum of {MAX_BUFFER_PARAMETER}"
+            ),
+            ConfigError::FabricTooLarge {
+                stages,
+                cells,
+                slots,
+            } => write!(
+                f,
+                "a {stages}-stage fabric of {cells} cells per stage would hold {slots} buffer \
+                 slots, over the budget of {MAX_FABRIC_SLOTS}"
             ),
             ConfigError::Traffic(e) => write!(f, "invalid traffic pattern: {e}"),
         }
@@ -362,6 +415,45 @@ mod tests {
             flits_per_packet: max,
         };
         assert_eq!(roomy.validate(), Ok(()));
+    }
+
+    #[test]
+    fn the_fabric_budget_bounds_products_of_in_range_parameters() {
+        let hostile = BufferMode::Fifo(MAX_BUFFER_PARAMETER);
+        assert_eq!(hostile.validate(), Ok(()));
+        let error = hostile.validate_for(12, 2048).unwrap_err();
+        assert_eq!(
+            error,
+            ConfigError::FabricTooLarge {
+                stages: 12,
+                cells: 2048,
+                slots: 12 * 2048 * 2 * MAX_BUFFER_PARAMETER,
+            }
+        );
+        assert!(error.to_string().contains("budget"), "{error}");
+        // Exactly the budget is accepted; one slot per cell more is not.
+        let per_cell = MAX_FABRIC_SLOTS / (4 * 256);
+        assert_eq!(BufferMode::Fifo(per_cell / 2).validate_for(4, 256), Ok(()));
+        assert!(BufferMode::Fifo(per_cell / 2 + 1)
+            .validate_for(4, 256)
+            .is_err());
+        let wide = BufferMode::Wormhole {
+            lanes: 1024,
+            lane_depth: 1024,
+            flits_per_packet: 4,
+        };
+        assert_eq!(wide.validate_for(4, 16), Ok(()));
+        assert!(wide.validate_for(4, 32).is_err());
+        assert_eq!(BufferMode::Unbuffered.validate_for(20, 1 << 19), Ok(()));
+        assert_eq!(BufferMode::Fifo(4).validate_for(16, 1 << 15), Ok(()));
+        // Parameter errors come first, and nothing overflows.
+        assert_eq!(
+            BufferMode::Fifo(0).validate_for(1, 1),
+            Err(ConfigError::ZeroParameter("fifo depth"))
+        );
+        assert!(BufferMode::Fifo(4)
+            .validate_for(usize::MAX, usize::MAX)
+            .is_err());
     }
 
     #[test]

@@ -95,6 +95,7 @@ impl Setup {
         config.validate()?;
         let fabric = Fabric::new(net, &config.traffic)?;
         let (stages, cells) = (fabric.stages(), fabric.cells());
+        config.buffer_mode.validate_for(stages, cells)?;
         config
             .traffic
             .validate_for(cells as u32)
@@ -142,7 +143,8 @@ impl Simulator {
     /// against this fabric ([`crate::TrafficPattern::validate_for`]) — so
     /// an out-of-range load, a NaN hot-spot fraction, a permutation or
     /// trace that does not fit the fabric, an all-warm-up cycle budget, a
-    /// zero lane/depth parameter or a fault site outside the fabric is a
+    /// zero lane/depth parameter, a buffer over
+    /// [`crate::MAX_FABRIC_SLOTS`] or a fault site outside the fabric is a
     /// typed error here rather than a panic or silent misbehaviour mid-run.
     pub fn new(net: ConnectionNetwork, config: SimConfig) -> Result<Self, SimError> {
         let Setup {
@@ -493,6 +495,17 @@ mod tests {
                 "{mode:?}"
             );
         }
+        // In-range parameters whose product is over the fabric budget are
+        // refused before the core allocates.
+        let oversized = quick_config().with_buffer(BufferMode::Fifo(crate::MAX_BUFFER_PARAMETER));
+        assert!(matches!(
+            Simulator::new(omega(12), oversized).unwrap_err(),
+            SimError::Config(ConfigError::FabricTooLarge {
+                stages: 12,
+                cells: 2048,
+                ..
+            })
+        ));
     }
 
     #[test]

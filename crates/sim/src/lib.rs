@@ -77,7 +77,7 @@ pub use campaign::{
     assemble, execute_shard, run_campaign, CampaignConfig, CampaignPlan, CampaignReport,
     MergeError, Scenario, ScenarioResult, Shard,
 };
-pub use config::{BufferMode, ConfigError, SimConfig, MAX_BUFFER_PARAMETER};
+pub use config::{BufferMode, ConfigError, SimConfig, MAX_BUFFER_PARAMETER, MAX_FABRIC_SLOTS};
 pub use engine::{simulate, SimError, Simulator};
 pub use fault::{Fault, FaultError, FaultKind, FaultPlan, FaultView, LinkStatus};
 pub use lane::{LaneEngine, LANE_WIDTH};
